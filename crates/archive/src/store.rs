@@ -105,7 +105,7 @@ impl ArchiveStore {
     }
 
     /// Every snapshot in key order, *without* touching the access counters
-    /// (for world serialization: the store round-trips by re-inserting in
+    /// (for world serialization: the store round-trips by collecting in
     /// this order — fresh seqs `0..n` preserve relative order, so every
     /// range scan is bit-identical after a save/load cycle).
     pub fn iter(&self) -> impl Iterator<Item = &Snapshot> {
@@ -123,6 +123,24 @@ impl ArchiveStore {
             }
         }
         count
+    }
+}
+
+/// Bulk build: the same keys and [`ArchiveStore::mutation_stamp`] as
+/// [`ArchiveStore::insert`]ing the snapshots one by one in iteration order,
+/// but the index is built once from the sorted keys, with full B-tree nodes
+/// instead of the half-full ones that one-at-a-time inserts leave behind.
+/// Input already in key order (a decoded snapshot) sorts in one linear
+/// pass; any other order is sorted first.
+impl FromIterator<Snapshot> for ArchiveStore {
+    fn from_iter<I: IntoIterator<Item = Snapshot>>(snapshots: I) -> Self {
+        let index: BTreeMap<_, _> = snapshots
+            .into_iter()
+            .enumerate()
+            .map(|(seq, s)| ((s.surt.clone(), s.captured, seq as u64), s))
+            .collect();
+        let seq = index.len() as u64;
+        ArchiveStore { index, seq, ..ArchiveStore::default() }
     }
 }
 
@@ -215,6 +233,34 @@ mod tests {
         let s = store();
         // a.html, b.html, c.html, sub.e.org/x.html, f.org/a.html
         assert_eq!(s.distinct_urls(), 5);
+    }
+
+    #[test]
+    fn collect_matches_one_by_one_inserts() {
+        let inserted = store();
+        let snaps: Vec<Snapshot> = [
+            snap("http://e.org/dir/a.html", t(2010, 1), 200),
+            snap("http://e.org/dir/a.html", t(2014, 6), 404),
+            snap("http://e.org/dir/a.html", t(2012, 3), 200),
+            snap("http://e.org/dir/b.html", t(2011, 1), 200),
+            snap("http://e.org/other/c.html", t(2011, 1), 200),
+            snap("http://sub.e.org/dir/x.html", t(2011, 1), 200),
+            snap("http://f.org/dir/a.html", t(2011, 1), 200),
+        ]
+        .into();
+        // out of key order, as hostile input may be
+        let collected: ArchiveStore = snaps.into_iter().collect();
+        let keys = |s: &ArchiveStore| s.index.keys().cloned().collect::<Vec<_>>();
+        assert_eq!(keys(&collected), keys(&inserted));
+        assert_eq!(collected.mutation_stamp(), inserted.mutation_stamp());
+        let years = |s: &ArchiveStore| -> Vec<(i32, u16)> {
+            s.snapshots_of(&u("http://e.org/dir/a.html"))
+                .iter()
+                .map(|s| (s.captured.year(), s.initial_status.0))
+                .collect()
+        };
+        assert_eq!(years(&collected), years(&inserted));
+        assert!(std::iter::empty::<Snapshot>().collect::<ArchiveStore>().is_empty());
     }
 
     #[test]

@@ -4,7 +4,11 @@
 //! study re-run?
 //!
 //! Prints one JSON line per measurement and persists them to
-//! `results/BENCH_world.json`. Honours `PERMADEAD_SEED` / `PERMADEAD_SCALE`
+//! `results/BENCH_world.json`. The load is also broken down by snapshot
+//! section (`world/section` lines: bytes and decode time of the header,
+//! interner, link tables, live web, archive, rescue entries and checksum,
+//! plus the rescue-postings rebuild, which stores no bytes); the sections'
+//! bytes sum to the snapshot's size. Honours `PERMADEAD_SEED` / `PERMADEAD_SCALE`
 //! / `PERMADEAD_JOBS`; the snapshot goes to `PERMADEAD_WORLD_CACHE` when
 //! set, a temp directory otherwise.
 //!
@@ -44,10 +48,17 @@ fn main() {
     let save_ms = t0.elapsed().as_secs_f64() * 1e3;
     drop(world);
 
-    // 3. load: what every later run pays instead of (1)
+    // 3. load: what every later run pays instead of (1), section by section
     let t0 = Instant::now();
-    let world = World::load(&path).expect("snapshot loads");
+    let bytes = std::fs::read(&path).expect("snapshot reads");
+    let (world, sections) = World::from_bytes_with_sections(&bytes).expect("snapshot loads");
+    drop(bytes);
     let load_ms = t0.elapsed().as_secs_f64() * 1e3;
+    assert_eq!(
+        sections.iter().map(|s| s.bytes as u64).sum::<u64>(),
+        size_bytes,
+        "every snapshot byte belongs to one section"
+    );
     let repro = permadead_bench::WorldRepro::over(world);
     let links = repro.march.len();
 
@@ -92,11 +103,23 @@ fn main() {
 
     let load_speedup = generate_ms / load_ms;
     let flip_speedup = full_study_ms / single_flip_ms;
+    let section_lines: String = sections
+        .iter()
+        .map(|s| {
+            format!(
+                "{{\"bench\":\"world/section\",\"scale\":\"{scale}\",\"section\":\"{}\",\"bytes\":{},\"decode_ms\":{:.3}}}\n",
+                s.name,
+                s.bytes,
+                s.decode.as_secs_f64() * 1e3
+            )
+        })
+        .collect();
     let lines = format!(
         "{{\"bench\":\"world/generate\",\"scale\":\"{scale}\",\"links\":{links},\"mean_ms\":{generate_ms:.3}}}\n\
          {{\"bench\":\"world/lower\",\"scale\":\"{scale}\",\"mean_ms\":{lower_ms:.3}}}\n\
          {{\"bench\":\"world/save\",\"scale\":\"{scale}\",\"bytes\":{size_bytes},\"mean_ms\":{save_ms:.3}}}\n\
          {{\"bench\":\"world/load\",\"scale\":\"{scale}\",\"mean_ms\":{load_ms:.3},\"speedup_vs_generate\":{load_speedup:.1}}}\n\
+         {section_lines}\
          {{\"bench\":\"world/full_study\",\"scale\":\"{scale}\",\"jobs\":{jobs},\"links\":{links},\"mean_ms\":{full_study_ms:.3}}}\n\
          {{\"bench\":\"world/incremental_build\",\"scale\":\"{scale}\",\"mean_ms\":{build_ms:.3}}}\n\
          {{\"bench\":\"world/single_flip_reaudit\",\"scale\":\"{scale}\",\"flips\":{flips},\"mean_ms\":{single_flip_ms:.4},\"speedup_vs_full\":{flip_speedup:.1}}}\n"

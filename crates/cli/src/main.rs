@@ -194,24 +194,35 @@ impl CliWorld {
         }
     }
 
-    /// The rediscovery index for this world: decoded from the snapshot when
-    /// it carries one, otherwise built from the live web. The sharded build
-    /// is bit-identical for every worker count, so the two paths agree.
-    fn rescue_index(&self, jobs: usize) -> std::sync::Arc<permadead_rescue::RescueIndex> {
-        if let CliWorld::Snapshot(w) = self {
-            if let Some(index) = &w.rescue {
-                return std::sync::Arc::new(index.clone());
-            }
+    /// The rediscovery index when `rediscovery` is on: moved out of the
+    /// snapshot when it carries one, otherwise built from the live web. The
+    /// sharded build is bit-identical for every worker count, so the two
+    /// paths agree. The snapshot's index is taken out either way, so with
+    /// rediscovery off nothing keeps it in memory.
+    fn rescue_index(
+        &mut self,
+        rediscovery: bool,
+        jobs: usize,
+    ) -> Option<std::sync::Arc<permadead_rescue::RescueIndex>> {
+        let decoded = match self {
+            CliWorld::Snapshot(w) => w.rescue.take(),
+            CliWorld::Generated(_) => None,
+        };
+        if !rediscovery {
+            return None;
+        }
+        if let Some(index) = decoded {
+            return Some(std::sync::Arc::new(index));
         }
         let jobs = match jobs {
             0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
             n => n,
         };
-        std::sync::Arc::new(permadead_rescue::RescueIndex::build(
+        Some(std::sync::Arc::new(permadead_rescue::RescueIndex::build(
             self.web(),
             self.study_time(),
             jobs,
-        ))
+        )))
     }
 }
 
@@ -313,9 +324,9 @@ fn march_study(
 fn cmd_audit(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     let retry = retry_policy_from(args)?;
     let rediscovery = rediscovery_from(args)?;
-    let world = world_from(args)?;
+    let mut world = world_from(args)?;
     let jobs = args.get_usize("jobs", 1)?;
-    let rescue = rediscovery.then(|| world.rescue_index(jobs));
+    let rescue = world.rescue_index(rediscovery, jobs);
     if let Some(index) = &rescue {
         eprintln!("[permadead] rediscovery index ready: {} pages", index.len());
     }
@@ -502,8 +513,8 @@ fn cmd_serve(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         },
         ..config
     };
-    let world = world_from(args)?;
-    let rescue = rediscovery.then(|| world.rescue_index(config.workers));
+    let mut world = world_from(args)?;
+    let rescue = world.rescue_index(rediscovery, config.workers);
     if let Some(index) = &rescue {
         eprintln!("[permadead] rediscovery index ready: {} pages", index.len());
     }
@@ -560,7 +571,8 @@ fn cmd_watch(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     };
     let retry = retry_policy_from(args)?;
     let rediscovery = rediscovery_from(args)?;
-    let world = world_from(args)?;
+    let mut world = world_from(args)?;
+    let rescue = world.rescue_index(rediscovery, jobs);
     let start = world.study_time();
 
     let mut sched = Scheduler::new(SchedulerConfig {
@@ -587,8 +599,7 @@ fn cmd_watch(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     // Optional post-timeline sweep: how many of the study's dead links the
     // lexical-signature index would relocate today. Off by default, so the
     // seed-42 timeline golden in scripts/check.sh is untouched.
-    if rediscovery {
-        let rescue = world.rescue_index(jobs);
+    if let Some(rescue) = rescue {
         let pages = rescue.len();
         let study = march_study(&world, jobs, retry, Some(rescue));
         let report = study.report();

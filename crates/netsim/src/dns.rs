@@ -69,10 +69,19 @@ impl HostTimeline {
 
     /// Append a state transition. Transitions must be pushed in time order.
     pub fn push(&mut self, from: SimTime, state: HostState) {
-        if let Some(&(last, _)) = self.states.last() {
-            assert!(from >= last, "timeline must be pushed in time order");
+        if let Err(rule) = self.try_push(from, state) {
+            panic!("{rule}");
+        }
+    }
+
+    /// [`HostTimeline::push`], returning the broken rule instead of
+    /// panicking (for decoding untrusted bytes).
+    pub fn try_push(&mut self, from: SimTime, state: HostState) -> Result<(), &'static str> {
+        if self.states.last().is_some_and(|&(last, _)| from < last) {
+            return Err("timeline must be pushed in time order");
         }
         self.states.push((from, state));
+        Ok(())
     }
 
     /// The raw transition list, time-ordered (for world serialization: a

@@ -29,15 +29,18 @@
 //! so the entry list — and therefore every posting and every query answer —
 //! is bit-identical for any `--jobs`. Postings are rebuilt from the entry
 //! list on snapshot load ([`RescueIndex::from_entries`]), which is why only
-//! entries are serialized by `worldstore`.
+//! entries are serialized by `worldstore`. Each kind of posting is one
+//! sorted, deduplicated array of `(key, entry id)` pairs, so the rebuild is
+//! one sort per kind and a lookup is a binary search for the key's run.
 
 use permadead_net::{SimTime, StatusCode};
 use permadead_text::gen::fnv1a;
 use permadead_text::html::extract_title;
+use permadead_text::sketch::SKETCH_SIZE;
 use permadead_text::MinHashSketch;
 use permadead_web::page::PathView;
 use permadead_web::{LiveWeb, Site};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// Word-level shingle size for page-body sketches — must match
 /// `Snapshot::from_observation` (k = 5) so archived fingerprints and index
@@ -96,10 +99,11 @@ impl Candidate {
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct RescueIndex {
     entries: Vec<RescueEntry>,
-    /// fnv1a(title token) → entry ids (ascending).
-    title_postings: BTreeMap<u64, Vec<u32>>,
-    /// sketch permutation minimum → entry ids (ascending).
-    sketch_postings: BTreeMap<u64, Vec<u32>>,
+    /// (fnv1a(title token), entry id) pairs, sorted and deduplicated: a
+    /// token's postings are one contiguous run of ascending ids.
+    title_postings: Vec<(u64, u32)>,
+    /// (sketch permutation minimum, entry id) pairs, sorted and deduplicated.
+    sketch_postings: Vec<(u64, u32)>,
 }
 
 impl RescueIndex {
@@ -145,26 +149,21 @@ impl RescueIndex {
     /// snapshot path). Postings are a pure function of the entries, so this
     /// reproduces [`RescueIndex::build`] exactly.
     pub fn from_entries(entries: Vec<RescueEntry>) -> RescueIndex {
-        let mut title_postings: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
-        let mut sketch_postings: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
+        let sketched = entries.iter().filter(|e| !e.sketch.empty).count();
+        let mut title_postings = Vec::new();
+        let mut sketch_postings = Vec::with_capacity(sketched * SKETCH_SIZE);
         for (id, entry) in entries.iter().enumerate() {
             let id = id as u32;
-            for tok in title_tokens(&entry.title) {
-                let posting = title_postings.entry(tok).or_default();
-                if posting.last() != Some(&id) {
-                    posting.push(id);
-                }
-            }
+            title_postings.extend(title_tokens(&entry.title).into_iter().map(|tok| (tok, id)));
             if !entry.sketch.empty {
-                for &m in entry.sketch.mins() {
-                    let posting = sketch_postings.entry(m).or_default();
-                    if posting.last() != Some(&id) {
-                        posting.push(id);
-                    }
-                }
+                sketch_postings.extend(entry.sketch.mins().iter().map(|&m| (m, id)));
             }
         }
-        RescueIndex { entries, title_postings, sketch_postings }
+        RescueIndex {
+            entries,
+            title_postings: sorted_unique(title_postings),
+            sketch_postings: sorted_unique(sketch_postings),
+        }
     }
 
     pub fn entries(&self) -> &[RescueEntry] {
@@ -184,19 +183,17 @@ impl RescueIndex {
     /// ranking is exact, ties broken by ascending entry id — fully
     /// deterministic.
     pub fn query(&self, fp: &Fingerprint, k: usize) -> Vec<Candidate> {
-        let mut ids: BTreeSet<u32> = BTreeSet::new();
+        let mut ids: Vec<u32> = Vec::new();
         for tok in title_tokens(&fp.title) {
-            if let Some(posting) = self.title_postings.get(&tok) {
-                ids.extend(posting.iter().copied());
-            }
+            ids.extend(posting(&self.title_postings, tok));
         }
         if !fp.sketch.empty {
             for &m in fp.sketch.mins() {
-                if let Some(posting) = self.sketch_postings.get(&m) {
-                    ids.extend(posting.iter().copied());
-                }
+                ids.extend(posting(&self.sketch_postings, m));
             }
         }
+        ids.sort_unstable();
+        ids.dedup();
 
         let mut candidates: Vec<Candidate> = ids
             .into_iter()
@@ -215,6 +212,19 @@ impl RescueIndex {
         candidates.truncate(k);
         candidates
     }
+}
+
+fn sorted_unique(mut pairs: Vec<(u64, u32)>) -> Vec<(u64, u32)> {
+    pairs.sort_unstable();
+    pairs.dedup();
+    pairs
+}
+
+/// The entry ids posted under `key`: the run of `key`'s pairs, found by
+/// binary search.
+fn posting(postings: &[(u64, u32)], key: u64) -> impl Iterator<Item = u32> + '_ {
+    let start = postings.partition_point(|&(k, _)| k < key);
+    postings[start..].iter().take_while(move |&&(k, _)| k == key).map(|&(_, id)| id)
 }
 
 /// Exact token-Jaccard similarity between two titles (lowercase
@@ -417,6 +427,112 @@ mod tests {
             assert!(c.title_similarity < TITLE_THRESHOLD);
             assert!(c.content_similarity < SKETCH_THRESHOLD);
         }
+    }
+
+    /// SplitMix64: deterministic draws for the hand-built index below.
+    struct Draws(u64);
+
+    impl Draws {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        /// 0–4 words from a small vocabulary (`extra` adds words no entry
+        /// uses), with repeats and mixed case.
+        fn title(&mut self, extra: &[&str]) -> String {
+            const VOCAB: [&str; 24] = [
+                "Steve", "art", "portfolio", "news", "city", "Archive", "the", "2010", "river",
+                "council", "Museum", "band", "tour", "school", "report", "map", "club", "home",
+                "story", "page", "league", "station", "ARCHIVE", "of",
+            ];
+            let words: Vec<&str> = (0..self.below(5))
+                .map(|_| {
+                    let i = self.below((VOCAB.len() + extra.len()) as u64) as usize;
+                    VOCAB.get(i).copied().unwrap_or_else(|| extra[i - VOCAB.len()])
+                })
+                .collect();
+            words.join(if self.below(2) == 0 { " " } else { " - " })
+        }
+
+        /// One sketch in five is empty; minima come from a pool of `pool`
+        /// values, so entries share many of them.
+        fn sketch(&mut self, pool: u64) -> MinHashSketch {
+            let mut mins = [0u64; SKETCH_SIZE];
+            for m in &mut mins {
+                *m = self.below(pool);
+            }
+            MinHashSketch::from_parts(mins, self.next(), self.below(5) == 0)
+        }
+    }
+
+    /// The candidates a query must retrieve, found without postings: every
+    /// entry sharing a title token or (both sketches non-empty) a sketch
+    /// minimum with the fingerprint, ranked like `query`.
+    fn brute_force(idx: &RescueIndex, fp: &Fingerprint, k: usize) -> Vec<Candidate> {
+        let fp_tokens: BTreeSet<u64> = title_tokens(&fp.title).into_iter().collect();
+        let fp_mins: BTreeSet<u64> = fp.sketch.mins().iter().copied().collect();
+        let mut out: Vec<Candidate> = idx
+            .entries()
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| {
+                let shares_token = title_tokens(&e.title).iter().any(|t| fp_tokens.contains(t));
+                let shares_min = !fp.sketch.empty
+                    && !e.sketch.empty
+                    && e.sketch.mins().iter().any(|m| fp_mins.contains(m));
+                shares_token || shares_min
+            })
+            .map(|(id, e)| Candidate {
+                entry: id,
+                title_similarity: title_similarity(&fp.title, &e.title),
+                content_similarity: fp.sketch.similarity(&e.sketch),
+            })
+            .collect();
+        out.sort_by(|a, b| b.score().total_cmp(&a.score()).then_with(|| a.entry.cmp(&b.entry)));
+        out.truncate(k);
+        out
+    }
+
+    #[test]
+    fn query_retrieves_every_entry_sharing_a_token_or_minimum() {
+        let mut draws = Draws(19);
+        let entries: Vec<RescueEntry> = (0..120)
+            .map(|i| RescueEntry {
+                url: format!("http://site{}.example/p{i}", i % 7),
+                title: draws.title(&[]),
+                sketch: draws.sketch(4000),
+            })
+            .collect();
+        assert!(entries.iter().any(|e| e.title.is_empty()), "some titles are empty");
+        assert!(entries.iter().any(|e| e.sketch.empty), "some sketches are empty");
+        let idx = RescueIndex::from_entries(entries);
+
+        let mut retrieved = 0;
+        for round in 0..300 {
+            // minima from a wider pool, so some match nothing in the index
+            let fp = Fingerprint {
+                title: draws.title(&["zebra", "quagga"]),
+                sketch: draws.sketch(8000),
+            };
+            for k in [DEFAULT_TOP_K, idx.len()] {
+                let got = idx.query(&fp, k);
+                assert_eq!(got, brute_force(&idx, &fp, k), "round {round}, k {k}, fp {fp:?}");
+                if k == idx.len() {
+                    retrieved += got.len();
+                }
+            }
+        }
+        // retrieval is selective: neither nothing nor everything
+        let mean = retrieved as f64 / 300.0;
+        assert!(mean > 5.0 && mean < 0.5 * idx.len() as f64, "mean retrieved {mean}");
     }
 
     #[test]

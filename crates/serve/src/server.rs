@@ -236,11 +236,21 @@ impl Inner {
     /// [`Self::now_sim`] — re-check cadences are day-scale, so the watch
     /// clock runs fast while cache TTLs keep their 1:1 mapping.
     fn watch_now(&self) -> SimTime {
-        let real = self.started.elapsed().as_secs() as i64;
         self.service.study_time()
-            + Duration::seconds(real.saturating_mul(self.config.watch.sim_secs_per_real_sec))
+            + watch_elapsed(self.started.elapsed(), self.config.watch.sim_secs_per_real_sec)
             + Duration::seconds(self.watch_offset.load(Ordering::SeqCst))
     }
+}
+
+/// How far the watch clock has run after `real` elapsed wall-clock time,
+/// at millisecond resolution: at the default one simulated day per real
+/// second it moves 2,160 simulated seconds per 25 ms pump tick, so a day's
+/// re-checks come due spread over the ticks. Stepping a whole day at once
+/// would push them into the worker queue in one burst, ahead of (and
+/// crowding out) interactive requests.
+fn watch_elapsed(real: std::time::Duration, sim_secs_per_real_sec: i64) -> Duration {
+    let ms = i64::try_from(real.as_millis()).unwrap_or(i64::MAX);
+    Duration::seconds(ms.saturating_mul(sim_secs_per_real_sec) / 1000)
 }
 
 /// A running server; dropping the handle does NOT stop it — call
@@ -1193,8 +1203,22 @@ pub(crate) fn watchlist_json(snap: &permadead_sched::WatchSnapshot, items: &[Str
 
 #[cfg(test)]
 mod tests {
-    use super::watchlist_json;
+    use super::{watch_elapsed, watchlist_json};
+    use permadead_net::Duration;
     use permadead_sched::WatchSnapshot;
+    use std::time::Duration as Real;
+
+    #[test]
+    fn watch_clock_maps_elapsed_milliseconds() {
+        let day = 86_400;
+        assert_eq!(watch_elapsed(Real::from_millis(500), day), Duration::seconds(43_200));
+        assert_eq!(watch_elapsed(Real::from_millis(25), day), Duration::seconds(2_160));
+        assert_eq!(watch_elapsed(Real::from_millis(1_999), day), Duration::seconds(172_713));
+        assert_eq!(watch_elapsed(Real::from_secs(3), day), Duration::days(3));
+        assert_eq!(watch_elapsed(Real::from_secs(3_600), 0), Duration::seconds(0), "rate 0");
+        let forever = watch_elapsed(Real::from_secs(u64::MAX), day);
+        assert_eq!(forever, Duration::seconds(i64::MAX / 1000), "saturates");
+    }
 
     /// The watchlist body must stay valid JSON even when the policy name (or
     /// a future state label) carries quotes, backslashes, or control bytes —

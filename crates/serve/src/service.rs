@@ -166,8 +166,11 @@ impl AuditService {
     /// replay: the batch-parity dataset comes straight from the interned
     /// march table, and the all-tagged table supplies provenance beyond the
     /// sample — the same two sets [`Self::over`] derives from the scenario,
-    /// recorded at snapshot time.
-    pub fn from_world(world: World, cache: CacheConfig) -> AuditService {
+    /// recorded at snapshot time. The service queries only the index given
+    /// to [`Self::with_rescue`], so a rediscovery index still inside the
+    /// world is dropped here rather than kept for the server's lifetime.
+    pub fn from_world(mut world: World, cache: CacheConfig) -> AuditService {
+        world.rescue = None;
         let dataset = Dataset::from_table(&world.march, &world.interner);
         let index_of: HashMap<String, usize> = dataset
             .entries
@@ -198,9 +201,10 @@ impl AuditService {
     /// Enable lexical-signature rediscovery (E19): the pipeline's
     /// rediscovery stage queries `rescue` for every non-alive link that has
     /// a pre-marking content fingerprint. For a snapshot-backed service,
-    /// pull the index out of the [`World`] before handing it over
-    /// (`world.rescue.clone()`); for a generated one, build it from the
-    /// scenario's web at study time.
+    /// move the index out of the [`World`] before handing the world over
+    /// (`world.rescue.take()`: [`Self::from_world`] drops any index left
+    /// inside); for a generated one, build it from the scenario's web at
+    /// study time.
     pub fn with_rescue(mut self, rescue: Option<Arc<RescueIndex>>) -> AuditService {
         self.rescue = rescue;
         self

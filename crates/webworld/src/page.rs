@@ -52,34 +52,48 @@ pub enum PathView {
 
 impl Page {
     pub fn new(id: PageId, created: SimTime, initial_path: &str) -> Self {
-        assert!(initial_path.starts_with('/'), "paths are absolute");
-        Page {
+        Page::try_new(id, created, initial_path).unwrap_or_else(|rule| panic!("{rule}"))
+    }
+
+    /// [`Page::new`], returning the broken rule instead of panicking (for
+    /// decoding untrusted bytes).
+    pub fn try_new(id: PageId, created: SimTime, initial_path: &str) -> Result<Self, &'static str> {
+        if !initial_path.starts_with('/') {
+            return Err("paths are absolute");
+        }
+        Ok(Page {
             id,
             created,
             initial_path: initial_path.to_string(),
             events: Vec::new(),
-        }
+        })
     }
 
     /// Append an event; events must be pushed in time order and must be
     /// consistent (no move after delete, redirect only after a move).
     pub fn push_event(&mut self, at: SimTime, event: PageEvent) {
-        if let Some((last, prev)) = self.events.last() {
-            assert!(at >= *last, "events must be time-ordered");
-            assert!(
-                !matches!(prev, PageEvent::Deleted),
-                "no events after deletion"
-            );
+        if let Err(rule) = self.try_push_event(at, event) {
+            panic!("{rule}");
         }
-        if matches!(event, PageEvent::RedirectAdded) {
-            assert!(
-                self.events
-                    .iter()
-                    .any(|(_, e)| matches!(e, PageEvent::Moved { .. })),
-                "redirect requires a prior move"
-            );
+    }
+
+    /// [`Page::push_event`], returning the broken rule instead of panicking.
+    pub fn try_push_event(&mut self, at: SimTime, event: PageEvent) -> Result<(), &'static str> {
+        if let Some((last, prev)) = self.events.last() {
+            if at < *last {
+                return Err("events must be time-ordered");
+            }
+            if matches!(prev, PageEvent::Deleted) {
+                return Err("no events after deletion");
+            }
+        }
+        if matches!(event, PageEvent::RedirectAdded)
+            && !self.events.iter().any(|(_, e)| matches!(e, PageEvent::Moved { .. }))
+        {
+            return Err("redirect requires a prior move");
         }
         self.events.push((at, event));
+        Ok(())
     }
 
     /// The raw event list, time-ordered (for world serialization: a page

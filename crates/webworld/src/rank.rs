@@ -27,8 +27,19 @@ impl RankTable {
     }
 
     pub fn insert(&mut self, host: &str, rank: u32) {
-        assert!(rank >= 1, "ranks are 1-based");
+        if let Err(rule) = self.try_insert(host, rank) {
+            panic!("{rule}");
+        }
+    }
+
+    /// [`RankTable::insert`], returning the broken rule instead of
+    /// panicking (for decoding untrusted bytes).
+    pub fn try_insert(&mut self, host: &str, rank: u32) -> Result<(), &'static str> {
+        if rank == 0 {
+            return Err("ranks are 1-based");
+        }
         self.by_host.insert(host.to_ascii_lowercase(), rank);
+        Ok(())
     }
 
     /// The host's rank, or `universe + 1` for unranked hosts (the paper

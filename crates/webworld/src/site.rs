@@ -114,9 +114,24 @@ impl Site {
     /// Switch the unknown-path policy from `from` onward. Changes must be
     /// pushed in time order.
     pub fn change_policy(&mut self, from: SimTime, policy: UnknownPathPolicy) {
+        if let Err(rule) = self.try_change_policy(from, policy) {
+            panic!("{rule}");
+        }
+    }
+
+    /// [`Site::change_policy`], returning the broken rule instead of
+    /// panicking (for decoding untrusted bytes).
+    pub fn try_change_policy(
+        &mut self,
+        from: SimTime,
+        policy: UnknownPathPolicy,
+    ) -> Result<(), &'static str> {
         let last = self.policies.last().expect("at least the initial policy");
-        assert!(from >= last.0, "policy changes must be time-ordered");
+        if from < last.0 {
+            return Err("policy changes must be time-ordered");
+        }
         self.policies.push((from, policy));
+        Ok(())
     }
 
     /// The full policy history, time-ordered, *excluding* the initial policy
@@ -148,16 +163,30 @@ impl Site {
     /// servers treat `?a=1&b=2` and `?b=2&a=1` identically, and §5.2's
     /// implications lean on exactly that.
     pub fn add_page(&mut self, page: Page) {
+        if let Err(rule) = self.try_add_page(page) {
+            panic!("{rule} on site {}", self.host);
+        }
+    }
+
+    /// [`Site::add_page`], returning the broken rule instead of panicking
+    /// (for decoding untrusted bytes). A refused page indexes nothing.
+    pub fn try_add_page(&mut self, page: Page) -> Result<(), &'static str> {
+        let paths = page.all_paths();
+        for (i, path) in paths.iter().enumerate() {
+            if self.path_index.contains_key(*path) || paths[..i].contains(path) {
+                return Err("duplicate path");
+            }
+        }
         let idx = self.pages.len();
-        for path in page.all_paths() {
-            let prev = self.path_index.insert(path.to_string(), idx);
-            assert!(prev.is_none(), "duplicate path {path} on site {}", self.host);
+        for path in paths {
+            self.path_index.insert(path.to_string(), idx);
             if let Some((base, query)) = path.split_once('?') {
                 let canon = format!("{base}?[{}]", permadead_url::canonical_query(query));
                 self.path_index.insert(canon, idx);
             }
         }
         self.pages.push(page);
+        Ok(())
     }
 
     pub fn pages(&self) -> &[Page] {

@@ -26,6 +26,10 @@ pub enum CodecError {
     TrailingBytes { at: usize },
     /// An interned-string symbol pointed outside the decoded interner.
     BadSymbol { at: usize, sym: u32 },
+    /// A collection count whose elements could not fit in the bytes left.
+    CountTooLarge { at: usize, count: usize, remaining: usize },
+    /// A decoded value the world model refuses; `rule` names the rule.
+    Invalid { at: usize, rule: &'static str },
 }
 
 impl fmt::Display for CodecError {
@@ -47,6 +51,12 @@ impl fmt::Display for CodecError {
             CodecError::TrailingBytes { at } => write!(f, "trailing bytes after checksum at {at}"),
             CodecError::BadSymbol { at, sym } => {
                 write!(f, "symbol {sym} at byte {at} not in the interner")
+            }
+            CodecError::CountTooLarge { at, count, remaining } => {
+                write!(f, "count {count} at byte {at} cannot fit in the {remaining} bytes left")
+            }
+            CodecError::Invalid { at, rule } => {
+                write!(f, "value at byte {at} breaks a rule: {rule}")
             }
         }
     }
@@ -211,11 +221,19 @@ impl<'a> Reader<'a> {
             .map_err(|_| CodecError::BadUtf8 { at })
     }
 
-    /// Reads a length prefix from the stream; not a container length,
-    /// so there is no matching `is_empty`.
-    #[allow(clippy::len_without_is_empty)]
-    pub fn len(&mut self) -> Result<usize, CodecError> {
-        Ok(self.u32()? as usize)
+    /// Read a collection count (the [`Writer::len`] prefix) whose elements
+    /// each encode to at least `min_item_bytes`. A count that many elements
+    /// could not fit in the bytes left is an error, so a corrupted prefix
+    /// can never make the decoder allocate or loop beyond what the input
+    /// holds — and it fails here, before the trailing checksum is reached.
+    pub fn count(&mut self, min_item_bytes: usize) -> Result<usize, CodecError> {
+        let at = self.pos;
+        let count = self.u32()? as usize;
+        let remaining = self.buf.len() - self.pos;
+        if count.saturating_mul(min_item_bytes) > remaining {
+            return Err(CodecError::CountTooLarge { at, count, remaining });
+        }
+        Ok(count)
     }
 
     /// Read the trailing checksum and compare it against the bytes consumed
@@ -297,6 +315,25 @@ mod tests {
         let mut r = Reader::new(&buf);
         r.u8().unwrap();
         assert!(matches!(r.verify_checksum(), Err(CodecError::TrailingBytes { .. })));
+    }
+
+    #[test]
+    fn count_is_bounded_by_the_bytes_left() {
+        let mut w = Writer::new();
+        w.len(3);
+        w.bytes(&[0; 12]);
+        let buf = w.finish();
+        // 12 payload bytes + the 8-byte trailer are left after the prefix
+        assert_eq!(Reader::new(&buf).count(4), Ok(3));
+        assert_eq!(Reader::new(&buf).count(6), Ok(3));
+        assert_eq!(
+            Reader::new(&buf).count(7),
+            Err(CodecError::CountTooLarge { at: 0, count: 3, remaining: 20 })
+        );
+        let mut w = Writer::new();
+        w.u32(u32::MAX);
+        let buf = w.finish();
+        assert!(matches!(Reader::new(&buf).count(1), Err(CodecError::CountTooLarge { .. })));
     }
 
     #[test]

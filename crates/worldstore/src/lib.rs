@@ -26,4 +26,4 @@ pub mod world;
 pub use codec::CodecError;
 pub use intern::{Interner, Sym};
 pub use tables::{LinkRow, LinkTable};
-pub use world::{LoadError, RawLink, World, WorldMeta, FORMAT_VERSION, MAGIC};
+pub use world::{LoadError, RawLink, SectionCost, World, WorldMeta, FORMAT_VERSION, MAGIC};

@@ -35,6 +35,7 @@ use permadead_web::{LiveWeb, Page, PageEvent, PageId, Site, SiteId, SiteLifecycl
 use std::fmt;
 use std::io;
 use std::path::Path;
+use std::time::{Duration, Instant};
 
 /// Leading magic: "PDWS" = PermaDead World Snapshot.
 pub const MAGIC: [u8; 4] = *b"PDWS";
@@ -45,6 +46,65 @@ pub const MAGIC: [u8; 4] = *b"PDWS";
 /// rejected with `UnsupportedVersion` — callers (`serve::load_or_generate`)
 /// treat that as a cache miss and regenerate.
 pub const FORMAT_VERSION: u32 = 2;
+
+/// The smallest encoding of one element of each counted collection: its
+/// fixed-width fields, with every string and nested collection empty.
+/// [`Reader::count`] rejects a count whose elements could not fit in the
+/// bytes left, so a corrupted prefix fails before anything is allocated.
+mod min_bytes {
+    use permadead_text::sketch::SKETCH_SIZE;
+
+    /// An empty `str`, or a `len` prefix of an empty collection.
+    const PREFIX: usize = 4;
+    const SYM: usize = 4;
+    const TAG: usize = 1;
+    const SKETCH: usize = SKETCH_SIZE * 8 + 8 + 1;
+    const FAULTS: usize = 8 + 8 + 8 + PREFIX + 1 + PREFIX;
+
+    pub const STRING: usize = PREFIX;
+    pub const LINK_ROW: usize = SYM + SYM + 8 + 8 + SYM;
+    pub const RANK: usize = SYM + 4;
+    pub const ZONE: usize = SYM + PREFIX;
+    pub const HOST_STATE: usize = 8 + TAG;
+    pub const SITE: usize = 8 + SYM + 8 + 1 + TAG + PREFIX + FAULTS + PREFIX;
+    pub const POLICY_CHANGE: usize = 8 + TAG;
+    pub const PAGE: usize = 4 + 8 + PREFIX + PREFIX;
+    pub const PAGE_EVENT: usize = 8 + TAG;
+    pub const VANTAGE: usize = TAG;
+    pub const FAULT_WINDOW: usize = 8 + 8 + TAG;
+    pub const SNAPSHOT: usize = SYM + 8 + 2 + 1 + TAG + SKETCH + PREFIX;
+    pub const RESCUE_ENTRY: usize = PREFIX + PREFIX + SKETCH;
+}
+
+/// The encoded size and decode time of one section of a snapshot, in
+/// stream order (see [`World::from_bytes_with_sections`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct SectionCost {
+    pub name: &'static str,
+    pub bytes: usize,
+    pub decode: Duration,
+}
+
+/// Section boundaries, recorded as the decoder passes them.
+struct Sections {
+    done: Vec<SectionCost>,
+    start: usize,
+    since: Instant,
+}
+
+impl Sections {
+    fn new() -> Sections {
+        Sections { done: Vec::new(), start: 0, since: Instant::now() }
+    }
+
+    /// Close the section that ends at stream offset `end`.
+    fn close(&mut self, name: &'static str, end: usize) {
+        let now = Instant::now();
+        self.done.push(SectionCost { name, bytes: end - self.start, decode: now - self.since });
+        self.start = end;
+        self.since = now;
+    }
+}
 
 /// Generation provenance, stored in the snapshot header so a cache hit can
 /// verify it is answering for the right `(seed, scale)` before anything
@@ -351,6 +411,16 @@ impl World {
 
     /// Decode a snapshot produced by [`World::to_bytes`].
     pub fn from_bytes(buf: &[u8]) -> Result<World, CodecError> {
+        World::from_bytes_with_sections(buf).map(|(world, _)| world)
+    }
+
+    /// [`World::from_bytes`], also reporting what each section of the
+    /// snapshot cost: `header` (magic, version, meta), `interner`,
+    /// `link-tables`, `live-web`, `archive`, `rescue-entries`, `checksum`,
+    /// then `rescue-postings` — the index rebuilt from the decoded entries,
+    /// stored nowhere (0 bytes). Every byte belongs to exactly one section.
+    pub fn from_bytes_with_sections(buf: &[u8]) -> Result<(World, Vec<SectionCost>), CodecError> {
+        let mut sections = Sections::new();
         let mut r = Reader::new(buf);
         let magic = r.bytes(4)?;
         if magic != MAGIC {
@@ -370,155 +440,49 @@ impl World {
             random_sample_time: SimTime(r.i64()?),
             content_seed: r.u64()?,
         };
+        sections.close("header", r.position());
 
-        let n_strings = r.len()?;
+        let n_strings = r.count(min_bytes::STRING)?;
         let mut interner = Interner::new();
         for _ in 0..n_strings {
             interner.intern(&r.str()?);
         }
+        sections.close("interner", r.position());
 
         let march = read_table(&mut r)?;
         let september = read_table(&mut r)?;
         let all_tagged = read_table(&mut r)?;
+        sections.close("link-tables", r.position());
 
-        let mut web = LiveWeb::new(meta.content_seed);
-        web.ranks.universe = r.u32()?;
-        let n_ranks = r.len()?;
-        for _ in 0..n_ranks {
-            let host = read_sym_str(&mut r, &interner)?;
-            let rank = r.u32()?;
-            web.ranks.insert(&host, rank);
-        }
+        let web = read_web(&mut r, &interner, meta.content_seed)?;
+        sections.close("live-web", r.position());
 
-        let n_zones = r.len()?;
-        for _ in 0..n_zones {
-            let host = read_sym_str(&mut r, &interner)?;
-            let n_states = r.len()?;
-            let mut tl = HostTimeline::new();
-            for _ in 0..n_states {
-                let at = SimTime(r.i64()?);
-                let tag_at = r.position();
-                let state = match r.u8()? {
-                    0 => HostState::Active { origin_id: r.u64()? },
-                    1 => HostState::Lapsed,
-                    2 => HostState::Broken,
-                    tag => return Err(CodecError::BadTag { at: tag_at, tag, what: "host state" }),
-                };
-                tl.push(at, state);
-            }
-            web.dns.insert(&host, tl);
-        }
+        let n_snaps = r.count(min_bytes::SNAPSHOT)?;
+        let archive = (0..n_snaps)
+            .map(|_| read_snapshot(&mut r, &interner))
+            .collect::<Result<ArchiveStore, _>>()?;
+        sections.close("archive", r.position());
 
-        let n_sites = r.len()?;
-        for _ in 0..n_sites {
-            let id = SiteId(r.u64()?);
-            let host = read_sym_str(&mut r, &interner)?;
-            let founded = SimTime(r.i64()?);
-            let parked_from = if r.bool()? { Some(SimTime(r.i64()?)) } else { None };
-            let lifecycle = SiteLifecycle { founded, parked_from };
-            let tag_at = r.position();
-            let initial = read_policy(r.u8()?, tag_at)?;
-            let mut site = Site::new(id, &host, lifecycle, initial);
-            let n_changes = r.len()?;
-            for _ in 0..n_changes {
-                let at = SimTime(r.i64()?);
-                let tag_at = r.position();
-                let p = read_policy(r.u8()?, tag_at)?;
-                site.change_policy(at, p);
-            }
-            site = site.with_faults(read_faults(&mut r)?);
-            let n_pages = r.len()?;
-            for _ in 0..n_pages {
-                let pid = PageId(r.u32()?);
-                let created = SimTime(r.i64()?);
-                let path = r.str()?;
-                let mut page = Page::new(pid, created, &path);
-                let n_events = r.len()?;
-                for _ in 0..n_events {
-                    let at = SimTime(r.i64()?);
-                    let tag_at = r.position();
-                    let event = match r.u8()? {
-                        0 => PageEvent::Moved { to_path: r.str()? },
-                        1 => PageEvent::RedirectAdded,
-                        2 => PageEvent::Deleted,
-                        tag => {
-                            return Err(CodecError::BadTag { at: tag_at, tag, what: "page event" })
-                        }
-                    };
-                    page.push_event(at, event);
-                }
-                site.add_page(page);
-            }
-            web.add_site_raw(site);
-        }
-
-        let mut archive = ArchiveStore::new();
-        let n_snaps = r.len()?;
-        for _ in 0..n_snaps {
-            let url_at = r.position();
-            let url_str = read_sym_str(&mut r, &interner)?;
-            let url = Url::parse(&url_str).map_err(|_| CodecError::BadUtf8 { at: url_at })?;
-            let captured = SimTime(r.i64()?);
-            let initial_status = StatusCode(r.u16()?);
-            let redirect_target = if r.bool()? {
-                let t_at = r.position();
-                let t_str = read_sym_str(&mut r, &interner)?;
-                Some(Url::parse(&t_str).map_err(|_| CodecError::BadUtf8 { at: t_at })?)
-            } else {
-                None
-            };
-            let tag_at = r.position();
-            let body_class = match r.u8()? {
-                0 => BodyClass::Content,
-                1 => BodyClass::Redirect,
-                2 => BodyClass::Error,
-                tag => return Err(CodecError::BadTag { at: tag_at, tag, what: "body class" }),
-            };
-            let mut mins = [0u64; SKETCH_SIZE];
-            for m in &mut mins {
-                *m = r.u64()?;
-            }
-            let digest = r.u64()?;
-            let empty = r.bool()?;
-            let title = r.str()?;
-            let surt = permadead_url::surt(&url);
-            archive.insert(Snapshot {
-                url,
-                surt,
-                captured,
-                initial_status,
-                redirect_target,
-                body_class,
-                sketch: MinHashSketch::from_parts(mins, digest, empty),
-                title,
-            });
-        }
-
-        let rescue = if r.bool()? {
-            let n_entries = r.len()?;
+        let entries = if r.bool()? {
+            let n_entries = r.count(min_bytes::RESCUE_ENTRY)?;
             let mut entries = Vec::with_capacity(n_entries);
             for _ in 0..n_entries {
-                let url = r.str()?;
-                let title = r.str()?;
-                let mut mins = [0u64; SKETCH_SIZE];
-                for m in &mut mins {
-                    *m = r.u64()?;
-                }
-                let digest = r.u64()?;
-                let empty = r.bool()?;
-                entries.push(RescueEntry {
-                    url,
-                    title,
-                    sketch: MinHashSketch::from_parts(mins, digest, empty),
-                });
+                let (url, title) = (r.str()?, r.str()?);
+                entries.push(RescueEntry { url, title, sketch: read_sketch(&mut r)? });
             }
-            Some(RescueIndex::from_entries(entries))
+            Some(entries)
         } else {
             None
         };
+        sections.close("rescue-entries", r.position());
 
         r.verify_checksum()?;
-        Ok(World { meta, interner, march, september, all_tagged, web, archive, rescue })
+        sections.close("checksum", r.position());
+
+        let rescue = entries.map(RescueIndex::from_entries);
+        sections.close("rescue-postings", r.position());
+        let world = World { meta, interner, march, september, all_tagged, web, archive, rescue };
+        Ok((world, sections.done))
     }
 
     /// Write the snapshot to `path` (atomically: temp file + rename).
@@ -570,7 +534,7 @@ fn read_sym_str(r: &mut Reader<'_>, interner: &Interner) -> Result<String, Codec
 fn read_table(r: &mut Reader<'_>) -> Result<LinkTable, CodecError> {
     let label = r.str()?;
     let mut t = LinkTable::new(&label);
-    let n = r.len()?;
+    let n = r.count(min_bytes::LINK_ROW)?;
     for _ in 0..n {
         t.push_row(crate::tables::LinkRow {
             url: Sym(r.u32()?),
@@ -581,6 +545,129 @@ fn read_table(r: &mut Reader<'_>) -> Result<LinkTable, CodecError> {
         });
     }
     Ok(t)
+}
+
+fn read_web(
+    r: &mut Reader<'_>,
+    interner: &Interner,
+    content_seed: u64,
+) -> Result<LiveWeb, CodecError> {
+    let mut web = LiveWeb::new(content_seed);
+    web.ranks.universe = r.u32()?;
+    let n_ranks = r.count(min_bytes::RANK)?;
+    for _ in 0..n_ranks {
+        let at = r.position();
+        let host = read_sym_str(r, interner)?;
+        let rank = r.u32()?;
+        web.ranks.try_insert(&host, rank).map_err(invalid(at))?;
+    }
+
+    let n_zones = r.count(min_bytes::ZONE)?;
+    for _ in 0..n_zones {
+        let host = read_sym_str(r, interner)?;
+        let n_states = r.count(min_bytes::HOST_STATE)?;
+        let mut tl = HostTimeline::new();
+        for _ in 0..n_states {
+            let state_at = r.position();
+            let at = SimTime(r.i64()?);
+            let tag_at = r.position();
+            let state = match r.u8()? {
+                0 => HostState::Active { origin_id: r.u64()? },
+                1 => HostState::Lapsed,
+                2 => HostState::Broken,
+                tag => return Err(CodecError::BadTag { at: tag_at, tag, what: "host state" }),
+            };
+            tl.try_push(at, state).map_err(invalid(state_at))?;
+        }
+        web.dns.insert(&host, tl);
+    }
+
+    let n_sites = r.count(min_bytes::SITE)?;
+    for _ in 0..n_sites {
+        let id = SiteId(r.u64()?);
+        let host = read_sym_str(r, interner)?;
+        let founded = SimTime(r.i64()?);
+        let parked_from = if r.bool()? { Some(SimTime(r.i64()?)) } else { None };
+        let lifecycle = SiteLifecycle { founded, parked_from };
+        let tag_at = r.position();
+        let initial = read_policy(r.u8()?, tag_at)?;
+        let mut site = Site::new(id, &host, lifecycle, initial);
+        let n_changes = r.count(min_bytes::POLICY_CHANGE)?;
+        for _ in 0..n_changes {
+            let change_at = r.position();
+            let at = SimTime(r.i64()?);
+            let tag_at = r.position();
+            let p = read_policy(r.u8()?, tag_at)?;
+            site.try_change_policy(at, p).map_err(invalid(change_at))?;
+        }
+        site = site.with_faults(read_faults(r)?);
+        let n_pages = r.count(min_bytes::PAGE)?;
+        for _ in 0..n_pages {
+            let page_at = r.position();
+            let pid = PageId(r.u32()?);
+            let created = SimTime(r.i64()?);
+            let path = r.str()?;
+            let mut page = Page::try_new(pid, created, &path).map_err(invalid(page_at))?;
+            let n_events = r.count(min_bytes::PAGE_EVENT)?;
+            for _ in 0..n_events {
+                let event_at = r.position();
+                let at = SimTime(r.i64()?);
+                let tag_at = r.position();
+                let event = match r.u8()? {
+                    0 => PageEvent::Moved { to_path: r.str()? },
+                    1 => PageEvent::RedirectAdded,
+                    2 => PageEvent::Deleted,
+                    tag => return Err(CodecError::BadTag { at: tag_at, tag, what: "page event" }),
+                };
+                page.try_push_event(at, event).map_err(invalid(event_at))?;
+            }
+            site.try_add_page(page).map_err(invalid(page_at))?;
+        }
+        web.add_site_raw(site);
+    }
+    Ok(web)
+}
+
+/// The decode error for a value the web model refuses (its builders assert
+/// their rules; the decoder calls their `try_` forms instead).
+fn invalid(at: usize) -> impl FnOnce(&'static str) -> CodecError {
+    move |rule| CodecError::Invalid { at, rule }
+}
+
+fn read_snapshot(r: &mut Reader<'_>, interner: &Interner) -> Result<Snapshot, CodecError> {
+    let url_at = r.position();
+    let url_str = read_sym_str(r, interner)?;
+    let url = Url::parse(&url_str).map_err(|_| CodecError::BadUtf8 { at: url_at })?;
+    let captured = SimTime(r.i64()?);
+    let initial_status = StatusCode(r.u16()?);
+    let redirect_target = if r.bool()? {
+        let t_at = r.position();
+        let t_str = read_sym_str(r, interner)?;
+        Some(Url::parse(&t_str).map_err(|_| CodecError::BadUtf8 { at: t_at })?)
+    } else {
+        None
+    };
+    let tag_at = r.position();
+    let body_class = match r.u8()? {
+        0 => BodyClass::Content,
+        1 => BodyClass::Redirect,
+        2 => BodyClass::Error,
+        tag => return Err(CodecError::BadTag { at: tag_at, tag, what: "body class" }),
+    };
+    let sketch = read_sketch(r)?;
+    let title = r.str()?;
+    let surt = permadead_url::surt(&url);
+    Ok(Snapshot { url, surt, captured, initial_status, redirect_target, body_class, sketch, title })
+}
+
+fn read_sketch(r: &mut Reader<'_>) -> Result<MinHashSketch, CodecError> {
+    let mut mins = [0u64; SKETCH_SIZE];
+    for m in &mut mins {
+        *m = r.u64()?;
+    }
+    let digest = r.u64()?;
+    let empty = r.bool()?;
+    Ok(MinHashSketch::from_parts(mins, digest, empty))
 }
 
 fn policy_tag(p: UnknownPathPolicy) -> u8 {
@@ -663,7 +750,7 @@ fn read_faults(r: &mut Reader<'_>) -> Result<FaultProfile, CodecError> {
     let mut profile = FaultProfile::none(seed)
         .with_timeouts(timeout_p)
         .with_unavailable(unavailable_p);
-    let n_geo = r.len()?;
+    let n_geo = r.count(min_bytes::VANTAGE)?;
     let mut geo = Vec::with_capacity(n_geo);
     for _ in 0..n_geo {
         let at = r.position();
@@ -679,7 +766,7 @@ fn read_faults(r: &mut Reader<'_>) -> Result<FaultProfile, CodecError> {
     if r.bool()? {
         profile = profile.with_daily_rate_limit(r.u32()?);
     }
-    let n_windows = r.len()?;
+    let n_windows = r.count(min_bytes::FAULT_WINDOW)?;
     for _ in 0..n_windows {
         let from = SimTime(r.i64()?);
         let to = SimTime(r.i64()?);
@@ -905,6 +992,30 @@ mod tests {
             idx.query(&fp, 3),
             "rebuilt postings answer queries identically"
         );
+    }
+
+    #[test]
+    fn sections_cover_every_byte_in_stream_order() {
+        let base = build_world();
+        let world = build_world().with_rescue(RescueIndex::build(&base.web, t(2022), 1));
+        let bytes = world.to_bytes();
+        let (loaded, sections) = World::from_bytes_with_sections(&bytes).unwrap();
+        assert_eq!(loaded.to_bytes(), bytes);
+        let names: Vec<&str> = sections.iter().map(|s| s.name).collect();
+        assert_eq!(
+            names,
+            [
+                "header", "interner", "link-tables", "live-web", "archive", "rescue-entries",
+                "checksum", "rescue-postings"
+            ]
+        );
+        let size = |name: &str| sections.iter().find(|s| s.name == name).unwrap().bytes;
+        assert_eq!(sections.iter().map(|s| s.bytes).sum::<usize>(), bytes.len());
+        // magic, version, seed, scale, rot_links, sample_size, two times, content seed
+        assert_eq!(size("header"), 4 + 4 + 8 + (4 + "unit".len()) + 4 + 4 + 8 + 8 + 8);
+        assert_eq!(size("checksum"), 8);
+        assert_eq!(size("rescue-postings"), 0, "postings are rebuilt, not stored");
+        assert_eq!(size("rescue-entries"), bytes.len() - base.to_bytes().len() + 1);
     }
 
     #[test]

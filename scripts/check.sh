@@ -154,6 +154,23 @@ if [ ! -s "$results_tmp/BENCH_world.json" ]; then
     echo "check.sh: repro_world_scale did not persist BENCH_world.json" >&2
     exit 1
 fi
+# The per-section load breakdown accounts for every snapshot byte: the body
+# sections sum to the snapshot size minus the header and the checksum.
+if ! awk '
+    function num(key) {
+        if (!match($0, "\"" key "\":[0-9]+")) return -1
+        return substr($0, RSTART + length(key) + 3, RLENGTH - length(key) - 3) + 0
+    }
+    /"bench":"world\/save"/ { total = num("bytes") }
+    /"bench":"world\/section"/ {
+        if ($0 ~ /"section":"(header|checksum)"/) framing += num("bytes")
+        else { body += num("bytes"); sections++ }
+    }
+    END { exit !(sections == 6 && total > 0 && body == total - framing) }
+' "$results_tmp/BENCH_world.json"; then
+    echo "check.sh: BENCH_world.json section bytes do not sum to the snapshot size" >&2
+    exit 1
+fi
 rm -rf "$world_dir" "$results_tmp" "$audit_miss" "$audit_hit" "$cache_log"
 echo "check.sh: world-cache round trip green"
 
