@@ -4,11 +4,16 @@
 //! study re-run?
 //!
 //! Prints one JSON line per measurement and persists them to
-//! `results/BENCH_world.json`. The load is also broken down by snapshot
-//! section (`world/section` lines: bytes and decode time of the header,
-//! interner, link tables, live web, archive, rescue entries and checksum,
-//! plus the rescue-postings rebuild, which stores no bytes); the sections'
-//! bytes sum to the snapshot's size. Honours `PERMADEAD_SEED` / `PERMADEAD_SCALE`
+//! `results/BENCH_world.json`. The load is the streamed `World::load` path
+//! every command takes, broken down by snapshot section (`world/section`
+//! lines: bytes and decode time of the header, interner, link tables, live
+//! web, archive, rescue entries and checksum); the sections' bytes sum to
+//! the snapshot's size. A counting global allocator adds heap bytes: each
+//! section line carries the live heap the load holds when that section
+//! closes, and the `world/load` line the live heap after the load and its
+//! peak during it, both counted from the load's start. The rescue postings,
+//! which a loaded index builds on its first query, are forced on their own
+//! `world/rescue_postings` line. Honours `PERMADEAD_SEED` / `PERMADEAD_SCALE`
 //! / `PERMADEAD_JOBS`; the snapshot goes to `PERMADEAD_WORLD_CACHE` when
 //! set, a temp directory otherwise.
 //!
@@ -21,7 +26,58 @@ use permadead_core::{IncrementalAudit, Study, StudyOptions};
 use permadead_serve::worldcache;
 use permadead_sim::Scenario;
 use permadead_worldstore::World;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::time::Instant;
+
+/// The system allocator, counting live heap bytes and their high-water mark.
+struct Counting;
+
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+fn grew(bytes: usize) {
+    PEAK.fetch_max(LIVE.fetch_add(bytes, Relaxed) + bytes, Relaxed);
+}
+
+// SAFETY: every call is forwarded unchanged to `System`; the counters only
+// observe the sizes.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let ptr = System.alloc(layout);
+        if !ptr.is_null() {
+            grew(layout.size());
+        }
+        ptr
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        let ptr = System.alloc_zeroed(layout);
+        if !ptr.is_null() {
+            grew(layout.size());
+        }
+        ptr
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+        LIVE.fetch_sub(layout.size(), Relaxed);
+    }
+
+    /// Counted as a move: the new block and the old one both count toward
+    /// the peak, as they do whenever the block cannot grow in place.
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let new = System.realloc(ptr, layout, new_size);
+        if !new.is_null() {
+            grew(new_size);
+            LIVE.fetch_sub(layout.size(), Relaxed);
+        }
+        new
+    }
+}
+
+#[global_allocator]
+static HEAP: Counting = Counting;
 
 fn main() {
     let (scale, cfg) = config_from_env();
@@ -48,17 +104,33 @@ fn main() {
     let save_ms = t0.elapsed().as_secs_f64() * 1e3;
     drop(world);
 
-    // 3. load: what every later run pays instead of (1), section by section
+    // 3. load: what every later run pays instead of (1), section by section,
+    // with the heap it holds counted from its start
+    let heap0 = LIVE.load(Relaxed);
+    PEAK.store(heap0, Relaxed);
+    let mut sections = Vec::new();
     let t0 = Instant::now();
-    let bytes = std::fs::read(&path).expect("snapshot reads");
-    let (world, sections) = World::from_bytes_with_sections(&bytes).expect("snapshot loads");
-    drop(bytes);
+    let world = World::load_with_sections(&path, |s| {
+        sections.push((s.clone(), LIVE.load(Relaxed).saturating_sub(heap0)));
+    })
+    .expect("snapshot loads");
     let load_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let load_heap = LIVE.load(Relaxed).saturating_sub(heap0);
+    let load_peak = PEAK.load(Relaxed).saturating_sub(heap0);
     assert_eq!(
-        sections.iter().map(|s| s.bytes as u64).sum::<u64>(),
+        sections.iter().map(|(s, _)| s.bytes as u64).sum::<u64>(),
         size_bytes,
         "every snapshot byte belongs to one section"
     );
+
+    // the postings a loaded index builds on its first query, forced here
+    let heap0 = LIVE.load(Relaxed);
+    let t0 = Instant::now();
+    if let Some(index) = &world.rescue {
+        index.ensure_postings();
+    }
+    let postings_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let postings_heap = LIVE.load(Relaxed).saturating_sub(heap0);
     let repro = permadead_bench::WorldRepro::over(world);
     let links = repro.march.len();
 
@@ -105,9 +177,9 @@ fn main() {
     let flip_speedup = full_study_ms / single_flip_ms;
     let section_lines: String = sections
         .iter()
-        .map(|s| {
+        .map(|(s, heap)| {
             format!(
-                "{{\"bench\":\"world/section\",\"scale\":\"{scale}\",\"section\":\"{}\",\"bytes\":{},\"decode_ms\":{:.3}}}\n",
+                "{{\"bench\":\"world/section\",\"scale\":\"{scale}\",\"section\":\"{}\",\"bytes\":{},\"decode_ms\":{:.3},\"heap_bytes\":{heap}}}\n",
                 s.name,
                 s.bytes,
                 s.decode.as_secs_f64() * 1e3
@@ -118,8 +190,9 @@ fn main() {
         "{{\"bench\":\"world/generate\",\"scale\":\"{scale}\",\"links\":{links},\"mean_ms\":{generate_ms:.3}}}\n\
          {{\"bench\":\"world/lower\",\"scale\":\"{scale}\",\"mean_ms\":{lower_ms:.3}}}\n\
          {{\"bench\":\"world/save\",\"scale\":\"{scale}\",\"bytes\":{size_bytes},\"mean_ms\":{save_ms:.3}}}\n\
-         {{\"bench\":\"world/load\",\"scale\":\"{scale}\",\"mean_ms\":{load_ms:.3},\"speedup_vs_generate\":{load_speedup:.1}}}\n\
+         {{\"bench\":\"world/load\",\"scale\":\"{scale}\",\"mean_ms\":{load_ms:.3},\"speedup_vs_generate\":{load_speedup:.1},\"heap_bytes\":{load_heap},\"heap_peak_bytes\":{load_peak}}}\n\
          {section_lines}\
+         {{\"bench\":\"world/rescue_postings\",\"scale\":\"{scale}\",\"mean_ms\":{postings_ms:.3},\"heap_bytes\":{postings_heap}}}\n\
          {{\"bench\":\"world/full_study\",\"scale\":\"{scale}\",\"jobs\":{jobs},\"links\":{links},\"mean_ms\":{full_study_ms:.3}}}\n\
          {{\"bench\":\"world/incremental_build\",\"scale\":\"{scale}\",\"mean_ms\":{build_ms:.3}}}\n\
          {{\"bench\":\"world/single_flip_reaudit\",\"scale\":\"{scale}\",\"flips\":{flips},\"mean_ms\":{single_flip_ms:.4},\"speedup_vs_full\":{flip_speedup:.1}}}\n"

@@ -198,7 +198,9 @@ impl CliWorld {
     /// snapshot when it carries one, otherwise built from the live web. The
     /// sharded build is bit-identical for every worker count, so the two
     /// paths agree. The snapshot's index is taken out either way, so with
-    /// rediscovery off nothing keeps it in memory.
+    /// rediscovery off nothing keeps it in memory and its postings are
+    /// never built; with rediscovery on they are built here, before the
+    /// study runs or the server listens, so no query pays for them.
     fn rescue_index(
         &mut self,
         rediscovery: bool,
@@ -212,6 +214,7 @@ impl CliWorld {
             return None;
         }
         if let Some(index) = decoded {
+            index.ensure_postings();
             return Some(std::sync::Arc::new(index));
         }
         let jobs = match jobs {
@@ -632,4 +635,47 @@ fn cmd_bots(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         wiki.unique_permanently_dead_urls().len()
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use permadead_net::SimTime;
+    use permadead_rescue::RescueIndex;
+    use permadead_worldstore::WorldMeta;
+
+    /// A snapshot-backed world whose index is as `World::load` leaves it.
+    fn snapshot_world() -> CliWorld {
+        let meta = WorldMeta {
+            seed: 1,
+            scale: "unit".into(),
+            rot_links: 0,
+            sample_size: 0,
+            study_time: SimTime(0),
+            random_sample_time: SimTime(0),
+            content_seed: 1,
+        };
+        let world = World::from_parts(
+            meta,
+            permadead_web::LiveWeb::new(1),
+            permadead_archive::ArchiveStore::new(),
+            ("march", &[]),
+            ("september", &[]),
+            ("all", &[]),
+        )
+        .with_rescue(RescueIndex::from_entries_lazy(Vec::new()));
+        CliWorld::Snapshot(Box::new(world))
+    }
+
+    #[test]
+    fn a_snapshot_index_is_built_before_use_or_dropped_unbuilt() {
+        let mut world = snapshot_world();
+        let index = world.rescue_index(true, 1).expect("rediscovery on keeps the index");
+        assert!(index.postings_built(), "no query pays for the postings build");
+
+        let mut world = snapshot_world();
+        assert!(world.rescue_index(false, 1).is_none());
+        let CliWorld::Snapshot(w) = world else { unreachable!("built as a snapshot") };
+        assert!(w.rescue.is_none(), "rediscovery off keeps nothing");
+    }
 }

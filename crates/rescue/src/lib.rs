@@ -27,11 +27,13 @@
 //! order, sharded into contiguous chunks across workers with the same
 //! `crossbeam::scope` idiom as `core::pipeline`, and joined in spawn order,
 //! so the entry list — and therefore every posting and every query answer —
-//! is bit-identical for any `--jobs`. Postings are rebuilt from the entry
-//! list on snapshot load ([`RescueIndex::from_entries`]), which is why only
-//! entries are serialized by `worldstore`. Each kind of posting is one
-//! sorted, deduplicated array of `(key, entry id)` pairs, so the rebuild is
-//! one sort per kind and a lookup is a binary search for the key's run.
+//! is bit-identical for any `--jobs`. Postings are a pure function of the
+//! entry list, which is why only entries are serialized by `worldstore`; a
+//! loaded index ([`RescueIndex::from_entries_lazy`]) builds them on its
+//! first query, so a run that never queries never holds them. Each kind of
+//! posting is one sorted, deduplicated array of `(key, entry id)` pairs, so
+//! the build is one sort per kind and a lookup is a binary search for the
+//! key's run.
 
 use permadead_net::{SimTime, StatusCode};
 use permadead_text::gen::fnv1a;
@@ -41,6 +43,7 @@ use permadead_text::MinHashSketch;
 use permadead_web::page::PathView;
 use permadead_web::{LiveWeb, Site};
 use std::collections::BTreeSet;
+use std::sync::OnceLock;
 
 /// Word-level shingle size for page-body sketches — must match
 /// `Snapshot::from_observation` (k = 5) so archived fingerprints and index
@@ -96,14 +99,46 @@ impl Candidate {
 }
 
 /// The searchable title + shingle-sketch index over the live web.
-#[derive(Debug, Clone, PartialEq, Default)]
+///
+/// Equality compares the entries and the postings, building the postings
+/// of either side that has not built them yet.
+#[derive(Debug, Clone, Default)]
 pub struct RescueIndex {
     entries: Vec<RescueEntry>,
+    /// Built from `entries` by [`Postings::of`], at construction or on
+    /// first use; concurrent first queries wait for one build.
+    postings: OnceLock<Postings>,
+}
+
+#[derive(Debug, Clone, PartialEq)]
+struct Postings {
     /// (fnv1a(title token), entry id) pairs, sorted and deduplicated: a
     /// token's postings are one contiguous run of ascending ids.
-    title_postings: Vec<(u64, u32)>,
+    title: Vec<(u64, u32)>,
     /// (sketch permutation minimum, entry id) pairs, sorted and deduplicated.
-    sketch_postings: Vec<(u64, u32)>,
+    sketch: Vec<(u64, u32)>,
+}
+
+impl Postings {
+    fn of(entries: &[RescueEntry]) -> Postings {
+        let sketched = entries.iter().filter(|e| !e.sketch.empty).count();
+        let mut title = Vec::new();
+        let mut sketch = Vec::with_capacity(sketched * SKETCH_SIZE);
+        for (id, entry) in entries.iter().enumerate() {
+            let id = id as u32;
+            title.extend(title_tokens(&entry.title).into_iter().map(|tok| (tok, id)));
+            if !entry.sketch.empty {
+                sketch.extend(entry.sketch.mins().iter().map(|&m| (m, id)));
+            }
+        }
+        Postings { title: sorted_unique(title), sketch: sorted_unique(sketch) }
+    }
+}
+
+impl PartialEq for RescueIndex {
+    fn eq(&self, other: &RescueIndex) -> bool {
+        self.entries == other.entries && self.postings() == other.postings()
+    }
 }
 
 impl RescueIndex {
@@ -145,25 +180,36 @@ impl RescueIndex {
         RescueIndex::from_entries(entries)
     }
 
-    /// Rebuild the index from a serialized entry list (the `worldstore`
-    /// snapshot path). Postings are a pure function of the entries, so this
-    /// reproduces [`RescueIndex::build`] exactly.
+    /// Rebuild the index from an entry list, postings included. Postings
+    /// are a pure function of the entries, so this reproduces
+    /// [`RescueIndex::build`] exactly.
     pub fn from_entries(entries: Vec<RescueEntry>) -> RescueIndex {
-        let sketched = entries.iter().filter(|e| !e.sketch.empty).count();
-        let mut title_postings = Vec::new();
-        let mut sketch_postings = Vec::with_capacity(sketched * SKETCH_SIZE);
-        for (id, entry) in entries.iter().enumerate() {
-            let id = id as u32;
-            title_postings.extend(title_tokens(&entry.title).into_iter().map(|tok| (tok, id)));
-            if !entry.sketch.empty {
-                sketch_postings.extend(entry.sketch.mins().iter().map(|&m| (m, id)));
-            }
-        }
-        RescueIndex {
-            entries,
-            title_postings: sorted_unique(title_postings),
-            sketch_postings: sorted_unique(sketch_postings),
-        }
+        let index = RescueIndex::from_entries_lazy(entries);
+        index.ensure_postings();
+        index
+    }
+
+    /// The index over `entries`, with its postings left to be built on
+    /// first use: by [`RescueIndex::query`], [`RescueIndex::ensure_postings`]
+    /// or `==`. This is the `worldstore` snapshot path. It answers every
+    /// query exactly as [`RescueIndex::from_entries`] does.
+    pub fn from_entries_lazy(entries: Vec<RescueEntry>) -> RescueIndex {
+        RescueIndex { entries, postings: OnceLock::new() }
+    }
+
+    /// Build the postings now if they are not built yet, so that no query
+    /// pays for the build (a server calls this before it takes requests).
+    pub fn ensure_postings(&self) {
+        self.postings();
+    }
+
+    /// Whether the postings have been built.
+    pub fn postings_built(&self) -> bool {
+        self.postings.get().is_some()
+    }
+
+    fn postings(&self) -> &Postings {
+        self.postings.get_or_init(|| Postings::of(&self.entries))
     }
 
     pub fn entries(&self) -> &[RescueEntry] {
@@ -183,13 +229,14 @@ impl RescueIndex {
     /// ranking is exact, ties broken by ascending entry id — fully
     /// deterministic.
     pub fn query(&self, fp: &Fingerprint, k: usize) -> Vec<Candidate> {
+        let postings = self.postings();
         let mut ids: Vec<u32> = Vec::new();
         for tok in title_tokens(&fp.title) {
-            ids.extend(posting(&self.title_postings, tok));
+            ids.extend(posting(&postings.title, tok));
         }
         if !fp.sketch.empty {
             for &m in fp.sketch.mins() {
-                ids.extend(posting(&self.sketch_postings, m));
+                ids.extend(posting(&postings.sketch, m));
             }
         }
         ids.sort_unstable();
@@ -501,19 +548,28 @@ mod tests {
         out
     }
 
-    #[test]
-    fn query_retrieves_every_entry_sharing_a_token_or_minimum() {
-        let mut draws = Draws(19);
-        let entries: Vec<RescueEntry> = (0..120)
+    fn drawn_entries(draws: &mut Draws, n: usize) -> Vec<RescueEntry> {
+        (0..n)
             .map(|i| RescueEntry {
                 url: format!("http://site{}.example/p{i}", i % 7),
                 title: draws.title(&[]),
                 sketch: draws.sketch(4000),
             })
-            .collect();
+            .collect()
+    }
+
+    #[test]
+    fn query_retrieves_every_entry_sharing_a_token_or_minimum() {
+        let mut draws = Draws(19);
+        let entries = drawn_entries(&mut draws, 120);
         assert!(entries.iter().any(|e| e.title.is_empty()), "some titles are empty");
         assert!(entries.iter().any(|e| e.sketch.empty), "some sketches are empty");
-        let idx = RescueIndex::from_entries(entries);
+        let idx = RescueIndex::from_entries(entries.clone());
+        assert!(idx.postings_built());
+        assert_eq!(RescueIndex::from_entries_lazy(entries.clone()), idx, "== builds the postings");
+        // the snapshot-load path: postings built by the first query
+        let lazy = RescueIndex::from_entries_lazy(entries);
+        assert!(!lazy.postings_built());
 
         let mut retrieved = 0;
         for round in 0..300 {
@@ -525,14 +581,53 @@ mod tests {
             for k in [DEFAULT_TOP_K, idx.len()] {
                 let got = idx.query(&fp, k);
                 assert_eq!(got, brute_force(&idx, &fp, k), "round {round}, k {k}, fp {fp:?}");
+                assert_eq!(lazy.query(&fp, k), got, "round {round}, k {k}: lazy index");
                 if k == idx.len() {
                     retrieved += got.len();
                 }
             }
         }
+        assert!(lazy.postings_built());
+        assert_eq!(lazy, idx);
         // retrieval is selective: neither nothing nor everything
         let mean = retrieved as f64 / 300.0;
         assert!(mean > 5.0 && mean < 0.5 * idx.len() as f64, "mean retrieved {mean}");
+    }
+
+    #[test]
+    fn concurrent_first_queries_build_once_and_agree() {
+        let mut draws = Draws(23);
+        let entries = drawn_entries(&mut draws, 200);
+        let eager = RescueIndex::from_entries(entries.clone());
+        let lazy = RescueIndex::from_entries_lazy(entries);
+        let fps: Vec<Fingerprint> = (0..4)
+            .map(|_| Fingerprint { title: draws.title(&[]), sketch: draws.sketch(4000) })
+            .collect();
+        let expected: Vec<Vec<Candidate>> =
+            fps.iter().map(|fp| eager.query(fp, DEFAULT_TOP_K)).collect();
+        assert!(expected.iter().all(|c| !c.is_empty()), "every fingerprint retrieves something");
+
+        let start = std::sync::Barrier::new(fps.len());
+        let answers: Vec<Vec<(usize, Vec<Candidate>)>> = std::thread::scope(|scope| {
+            let threads: Vec<_> = (0..fps.len())
+                .map(|first| {
+                    let (lazy, fps, start) = (&lazy, &fps, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        // each thread's first query is a different fingerprint
+                        (0..fps.len())
+                            .map(|i| (first + i) % fps.len())
+                            .map(|i| (i, lazy.query(&fps[i], DEFAULT_TOP_K)))
+                            .collect()
+                    })
+                })
+                .collect();
+            threads.into_iter().map(|t| t.join().expect("query thread")).collect()
+        });
+        for (i, got) in answers.into_iter().flatten() {
+            assert_eq!(got, expected[i], "fingerprint {i}");
+        }
+        assert_eq!(lazy, eager);
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! spec in DESIGN.md is readable against this file).
 
 use std::fmt;
+use std::io::{self, Read};
 
 /// Errors from decoding a snapshot stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -152,56 +153,106 @@ impl Default for Writer {
     }
 }
 
-/// Cursor-based decoder mirroring [`Writer`], with the same running
-/// checksum so [`Reader::verify_checksum`] can close the loop.
+/// Decoder mirroring [`Writer`] over any byte stream — a file through a
+/// `BufReader`, or a slice — with the same running checksum so
+/// [`Reader::verify_checksum`] can close the loop. The stream's total length
+/// is known up front (a file's from its metadata), so every count and
+/// string length is checked against the bytes left before anything is
+/// allocated for it.
 #[derive(Debug)]
-pub struct Reader<'a> {
-    buf: &'a [u8],
+pub struct Reader<R> {
+    inner: R,
+    len: usize,
     pos: usize,
     hash: u64,
+    /// The first failed read other than end of stream. The decoder sees it
+    /// as [`CodecError::UnexpectedEof`]; [`Reader::take_io_error`] hands
+    /// the cause to the caller.
+    io_error: Option<io::Error>,
 }
 
-impl<'a> Reader<'a> {
+impl<'a> Reader<&'a [u8]> {
     pub fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0, hash: fnv1a_init() }
+        Reader::from_stream(buf, buf.len() as u64)
+    }
+}
+
+impl<R: Read> Reader<R> {
+    /// Decode `len` bytes from `inner`.
+    pub fn from_stream(inner: R, len: u64) -> Self {
+        let len = usize::try_from(len).unwrap_or(usize::MAX);
+        Reader { inner, len, pos: 0, hash: fnv1a_init(), io_error: None }
     }
 
     pub fn position(&self) -> usize {
         self.pos
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        if self.buf.len() - self.pos < n {
-            return Err(CodecError::UnexpectedEof { at: self.pos, wanted: n });
+    fn remaining(&self) -> usize {
+        self.len.saturating_sub(self.pos)
+    }
+
+    /// The read that failed for a reason other than end of stream, if any.
+    pub fn take_io_error(&mut self) -> Option<io::Error> {
+        self.io_error.take()
+    }
+
+    /// Fill `out` from the stream without hashing it.
+    fn read_raw(&mut self, out: &mut [u8]) -> Result<(), CodecError> {
+        let (at, wanted) = (self.pos, out.len());
+        if self.remaining() < wanted {
+            return Err(CodecError::UnexpectedEof { at, wanted });
         }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
+        if let Err(e) = self.inner.read_exact(out) {
+            if e.kind() != io::ErrorKind::UnexpectedEof {
+                self.io_error.get_or_insert(e);
+            }
+            return Err(CodecError::UnexpectedEof { at, wanted });
+        }
+        self.pos += wanted;
+        Ok(())
+    }
+
+    fn fill(&mut self, out: &mut [u8]) -> Result<(), CodecError> {
+        self.read_raw(out)?;
         self.hash = fnv1a_update(self.hash, out);
+        Ok(())
+    }
+
+    /// The next `N` bytes, as written by [`Writer::bytes`].
+    pub fn array<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
+        let mut out = [0; N];
+        self.fill(&mut out)?;
         Ok(out)
     }
 
-    pub fn bytes(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        self.take(n)
+    fn bytes(&mut self, n: usize) -> Result<Vec<u8>, CodecError> {
+        if self.remaining() < n {
+            return Err(CodecError::UnexpectedEof { at: self.pos, wanted: n });
+        }
+        let mut out = vec![0; n];
+        self.fill(&mut out)?;
+        Ok(out)
     }
 
     pub fn u8(&mut self) -> Result<u8, CodecError> {
-        Ok(self.take(1)?[0])
+        Ok(self.array::<1>()?[0])
     }
 
     pub fn u16(&mut self) -> Result<u16, CodecError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
+        Ok(u16::from_le_bytes(self.array()?))
     }
 
     pub fn u32(&mut self) -> Result<u32, CodecError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     pub fn u64(&mut self) -> Result<u64, CodecError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
     pub fn i64(&mut self) -> Result<i64, CodecError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(i64::from_le_bytes(self.array()?))
     }
 
     pub fn f64(&mut self) -> Result<f64, CodecError> {
@@ -215,10 +266,7 @@ impl<'a> Reader<'a> {
     pub fn str(&mut self) -> Result<String, CodecError> {
         let n = self.u32()? as usize;
         let at = self.pos;
-        let bytes = self.take(n)?;
-        std::str::from_utf8(bytes)
-            .map(str::to_string)
-            .map_err(|_| CodecError::BadUtf8 { at })
+        String::from_utf8(self.bytes(n)?).map_err(|_| CodecError::BadUtf8 { at })
     }
 
     /// Read a collection count (the [`Writer::len`] prefix) whose elements
@@ -229,7 +277,7 @@ impl<'a> Reader<'a> {
     pub fn count(&mut self, min_item_bytes: usize) -> Result<usize, CodecError> {
         let at = self.pos;
         let count = self.u32()? as usize;
-        let remaining = self.buf.len() - self.pos;
+        let remaining = self.remaining();
         if count.saturating_mul(min_item_bytes) > remaining {
             return Err(CodecError::CountTooLarge { at, count, remaining });
         }
@@ -240,17 +288,13 @@ impl<'a> Reader<'a> {
     /// so far. Also rejects trailing garbage.
     pub fn verify_checksum(&mut self) -> Result<(), CodecError> {
         let found = self.hash;
-        // read the stored checksum without hashing it
-        if self.buf.len() - self.pos < 8 {
-            return Err(CodecError::UnexpectedEof { at: self.pos, wanted: 8 });
-        }
-        let expected =
-            u64::from_le_bytes(self.buf[self.pos..self.pos + 8].try_into().unwrap());
-        self.pos += 8;
+        let mut stored = [0; 8];
+        self.read_raw(&mut stored)?;
+        let expected = u64::from_le_bytes(stored);
         if expected != found {
             return Err(CodecError::ChecksumMismatch { expected, found });
         }
-        if self.pos != self.buf.len() {
+        if self.remaining() > 0 {
             return Err(CodecError::TrailingBytes { at: self.pos });
         }
         Ok(())
@@ -334,6 +378,58 @@ mod tests {
         w.u32(u32::MAX);
         let buf = w.finish();
         assert!(matches!(Reader::new(&buf).count(1), Err(CodecError::CountTooLarge { .. })));
+    }
+
+    /// Hands out one byte per read, as a slow pipe might.
+    struct Trickle<'a>(&'a [u8]);
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            let n = self.0.len().min(out.len()).min(1);
+            out[..n].copy_from_slice(&self.0[..n]);
+            self.0 = &self.0[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn a_stream_decodes_like_its_slice() {
+        let mut w = Writer::new();
+        w.u32(0xDEAD_BEEF);
+        w.str("héllo");
+        w.len(2);
+        w.u64(9);
+        w.u64(10);
+        let buf = w.finish();
+        let mut r = Reader::from_stream(Trickle(&buf), buf.len() as u64);
+        assert_eq!(r.u32(), Ok(0xDEAD_BEEF));
+        assert_eq!(r.str().as_deref(), Ok("héllo"));
+        assert_eq!(r.count(8), Ok(2));
+        assert_eq!((r.u64(), r.u64()), (Ok(9), Ok(10)));
+        assert_eq!(r.verify_checksum(), Ok(()));
+
+        // a stream shorter than its stated length ends in EOF, not a hang
+        let mut r = Reader::from_stream(Trickle(&buf[..10]), buf.len() as u64);
+        r.u32().unwrap();
+        assert_eq!(r.str(), Err(CodecError::UnexpectedEof { at: 8, wanted: 6 }));
+        assert!(r.take_io_error().is_none(), "end of stream is not an I/O error");
+        // a string longer than the stated length is refused before it is read
+        let mut r = Reader::from_stream(Trickle(&buf), 10);
+        r.u32().unwrap();
+        assert_eq!(r.str(), Err(CodecError::UnexpectedEof { at: 8, wanted: 6 }));
+    }
+
+    #[test]
+    fn read_failures_are_kept_for_the_caller() {
+        struct Failing;
+        impl Read for Failing {
+            fn read(&mut self, _: &mut [u8]) -> io::Result<usize> {
+                Err(io::Error::other("device gone"))
+            }
+        }
+        let mut r = Reader::from_stream(Failing, 64);
+        assert_eq!(r.u64(), Err(CodecError::UnexpectedEof { at: 0, wanted: 8 }));
+        assert_eq!(r.take_io_error().map(|e| e.to_string()).as_deref(), Some("device gone"));
     }
 
     #[test]

@@ -33,7 +33,8 @@ use permadead_text::sketch::{MinHashSketch, SKETCH_SIZE};
 use permadead_url::Url;
 use permadead_web::{LiveWeb, Page, PageEvent, PageId, Site, SiteId, SiteLifecycle, UnknownPathPolicy};
 use std::fmt;
-use std::io;
+use std::fs::File;
+use std::io::{self, BufReader, Read};
 use std::path::Path;
 use std::time::{Duration, Instant};
 
@@ -85,24 +86,21 @@ pub struct SectionCost {
     pub decode: Duration,
 }
 
-/// Section boundaries, recorded as the decoder passes them.
-struct Sections {
-    done: Vec<SectionCost>,
+/// Section boundaries, reported as the decoder passes them.
+struct Sections<'f> {
+    on_close: &'f mut dyn FnMut(&SectionCost),
     start: usize,
     since: Instant,
 }
 
-impl Sections {
-    fn new() -> Sections {
-        Sections { done: Vec::new(), start: 0, since: Instant::now() }
-    }
-
-    /// Close the section that ends at stream offset `end`.
+impl Sections<'_> {
+    /// Close the section that ends at stream offset `end`. The report's own
+    /// time is charged to no section.
     fn close(&mut self, name: &'static str, end: usize) {
-        let now = Instant::now();
-        self.done.push(SectionCost { name, bytes: end - self.start, decode: now - self.since });
+        let decode = self.since.elapsed();
+        (self.on_close)(&SectionCost { name, bytes: end - self.start, decode });
         self.start = end;
-        self.since = now;
+        self.since = Instant::now();
     }
 }
 
@@ -143,7 +141,8 @@ pub struct World {
     pub archive: ArchiveStore,
     /// The lexical-signature rediscovery index over the live web at study
     /// time, when the world was built with rescue support. Only the entry
-    /// list is serialized; postings rebuild deterministically on load.
+    /// list is serialized; a loaded index builds its postings from it on
+    /// its first query, so a run that never queries never pays for them.
     pub rescue: Option<RescueIndex>,
 }
 
@@ -385,7 +384,8 @@ impl World {
             w.str(&snap.title);
         }
 
-        // --- rescue index (entries only; postings rebuild on load).
+        // --- rescue index (entries only; a loaded index builds its postings
+        // on first query).
         // URLs/titles are written inline rather than interned: the index is
         // optional, and threading its strings through the interner would
         // perturb symbol assignment for worlds that carry no index. ---
@@ -411,20 +411,30 @@ impl World {
 
     /// Decode a snapshot produced by [`World::to_bytes`].
     pub fn from_bytes(buf: &[u8]) -> Result<World, CodecError> {
-        World::from_bytes_with_sections(buf).map(|(world, _)| world)
+        World::decode(&mut Reader::new(buf), &mut |_| {})
     }
 
     /// [`World::from_bytes`], also reporting what each section of the
     /// snapshot cost: `header` (magic, version, meta), `interner`,
-    /// `link-tables`, `live-web`, `archive`, `rescue-entries`, `checksum`,
-    /// then `rescue-postings` — the index rebuilt from the decoded entries,
-    /// stored nowhere (0 bytes). Every byte belongs to exactly one section.
+    /// `link-tables`, `live-web`, `archive`, `rescue-entries`, `checksum`.
+    /// Every byte belongs to exactly one section.
     pub fn from_bytes_with_sections(buf: &[u8]) -> Result<(World, Vec<SectionCost>), CodecError> {
-        let mut sections = Sections::new();
-        let mut r = Reader::new(buf);
-        let magic = r.bytes(4)?;
+        let mut done = Vec::new();
+        let world = World::decode(&mut Reader::new(buf), &mut |s| done.push(s.clone()))?;
+        Ok((world, done))
+    }
+
+    /// The one decoder behind [`World::from_bytes`] and [`World::load`]:
+    /// reads the stream once, front to back, and returns the world only
+    /// once the trailing checksum has verified.
+    fn decode<R: Read>(
+        r: &mut Reader<R>,
+        on_section: &mut dyn FnMut(&SectionCost),
+    ) -> Result<World, CodecError> {
+        let mut sections = Sections { on_close: on_section, start: 0, since: Instant::now() };
+        let magic: [u8; 4] = r.array()?;
         if magic != MAGIC {
-            return Err(CodecError::BadMagic(magic.try_into().unwrap()));
+            return Err(CodecError::BadMagic(magic));
         }
         let version = r.u32()?;
         if version != FORMAT_VERSION {
@@ -449,28 +459,28 @@ impl World {
         }
         sections.close("interner", r.position());
 
-        let march = read_table(&mut r)?;
-        let september = read_table(&mut r)?;
-        let all_tagged = read_table(&mut r)?;
+        let march = read_table(r)?;
+        let september = read_table(r)?;
+        let all_tagged = read_table(r)?;
         sections.close("link-tables", r.position());
 
-        let web = read_web(&mut r, &interner, meta.content_seed)?;
+        let web = read_web(r, &interner, meta.content_seed)?;
         sections.close("live-web", r.position());
 
         let n_snaps = r.count(min_bytes::SNAPSHOT)?;
         let archive = (0..n_snaps)
-            .map(|_| read_snapshot(&mut r, &interner))
+            .map(|_| read_snapshot(r, &interner))
             .collect::<Result<ArchiveStore, _>>()?;
         sections.close("archive", r.position());
 
-        let entries = if r.bool()? {
+        let rescue = if r.bool()? {
             let n_entries = r.count(min_bytes::RESCUE_ENTRY)?;
             let mut entries = Vec::with_capacity(n_entries);
             for _ in 0..n_entries {
                 let (url, title) = (r.str()?, r.str()?);
-                entries.push(RescueEntry { url, title, sketch: read_sketch(&mut r)? });
+                entries.push(RescueEntry { url, title, sketch: read_sketch(r)? });
             }
-            Some(entries)
+            Some(RescueIndex::from_entries_lazy(entries))
         } else {
             None
         };
@@ -478,11 +488,7 @@ impl World {
 
         r.verify_checksum()?;
         sections.close("checksum", r.position());
-
-        let rescue = entries.map(RescueIndex::from_entries);
-        sections.close("rescue-postings", r.position());
-        let world = World { meta, interner, march, september, all_tagged, web, archive, rescue };
-        Ok((world, sections.done))
+        Ok(World { meta, interner, march, september, all_tagged, web, archive, rescue })
     }
 
     /// Write the snapshot to `path` (atomically: temp file + rename).
@@ -495,10 +501,26 @@ impl World {
         Ok(bytes.len() as u64)
     }
 
-    /// Read a snapshot from `path`.
+    /// Read a snapshot from `path`, decoding it as it streams in: the file
+    /// is never resident whole.
     pub fn load(path: &Path) -> Result<World, LoadError> {
-        let bytes = std::fs::read(path)?;
-        Ok(World::from_bytes(&bytes)?)
+        World::load_with_sections(path, |_| {})
+    }
+
+    /// [`World::load`], calling `on_section` as each section of the snapshot
+    /// closes (the sections of [`World::from_bytes_with_sections`]), so a
+    /// caller can sample what the load holds at each boundary.
+    pub fn load_with_sections(
+        path: &Path,
+        mut on_section: impl FnMut(&SectionCost),
+    ) -> Result<World, LoadError> {
+        let file = File::open(path)?;
+        let len = file.metadata()?.len();
+        let mut r = Reader::from_stream(BufReader::with_capacity(1 << 16, file), len);
+        World::decode(&mut r, &mut on_section).map_err(|e| match r.take_io_error() {
+            Some(io) => LoadError::Io(io),
+            None => LoadError::Codec(e),
+        })
     }
 
     fn sym(&self, s: &str) -> Sym {
@@ -522,7 +544,7 @@ fn write_table(w: &mut Writer, t: &LinkTable) {
 
 /// Read a symbol and resolve it against the decoded interner, surfacing a
 /// decode error (not a panic) when corrupted bytes point outside it.
-fn read_sym_str(r: &mut Reader<'_>, interner: &Interner) -> Result<String, CodecError> {
+fn read_sym_str(r: &mut Reader<impl Read>, interner: &Interner) -> Result<String, CodecError> {
     let at = r.position();
     let sym = Sym(r.u32()?);
     interner
@@ -531,7 +553,7 @@ fn read_sym_str(r: &mut Reader<'_>, interner: &Interner) -> Result<String, Codec
         .ok_or(CodecError::BadSymbol { at, sym: sym.0 })
 }
 
-fn read_table(r: &mut Reader<'_>) -> Result<LinkTable, CodecError> {
+fn read_table(r: &mut Reader<impl Read>) -> Result<LinkTable, CodecError> {
     let label = r.str()?;
     let mut t = LinkTable::new(&label);
     let n = r.count(min_bytes::LINK_ROW)?;
@@ -548,7 +570,7 @@ fn read_table(r: &mut Reader<'_>) -> Result<LinkTable, CodecError> {
 }
 
 fn read_web(
-    r: &mut Reader<'_>,
+    r: &mut Reader<impl Read>,
     interner: &Interner,
     content_seed: u64,
 ) -> Result<LiveWeb, CodecError> {
@@ -634,7 +656,7 @@ fn invalid(at: usize) -> impl FnOnce(&'static str) -> CodecError {
     move |rule| CodecError::Invalid { at, rule }
 }
 
-fn read_snapshot(r: &mut Reader<'_>, interner: &Interner) -> Result<Snapshot, CodecError> {
+fn read_snapshot(r: &mut Reader<impl Read>, interner: &Interner) -> Result<Snapshot, CodecError> {
     let url_at = r.position();
     let url_str = read_sym_str(r, interner)?;
     let url = Url::parse(&url_str).map_err(|_| CodecError::BadUtf8 { at: url_at })?;
@@ -660,7 +682,7 @@ fn read_snapshot(r: &mut Reader<'_>, interner: &Interner) -> Result<Snapshot, Co
     Ok(Snapshot { url, surt, captured, initial_status, redirect_target, body_class, sketch, title })
 }
 
-fn read_sketch(r: &mut Reader<'_>) -> Result<MinHashSketch, CodecError> {
+fn read_sketch(r: &mut Reader<impl Read>) -> Result<MinHashSketch, CodecError> {
     let mut mins = [0u64; SKETCH_SIZE];
     for m in &mut mins {
         *m = r.u64()?;
@@ -743,7 +765,7 @@ fn write_faults(w: &mut Writer, f: &FaultProfile) {
     }
 }
 
-fn read_faults(r: &mut Reader<'_>) -> Result<FaultProfile, CodecError> {
+fn read_faults(r: &mut Reader<impl Read>) -> Result<FaultProfile, CodecError> {
     let seed = r.u64()?;
     let timeout_p = r.f64()?;
     let unavailable_p = r.f64()?;
@@ -980,18 +1002,17 @@ mod tests {
         let bytes = world.to_bytes();
         assert_ne!(bytes, base.to_bytes(), "the index is part of the snapshot");
         let loaded = World::from_bytes(&bytes).unwrap();
-        assert_eq!(loaded.rescue.as_ref(), Some(&idx));
         assert_eq!(loaded.to_bytes(), bytes, "save → load → save stays byte-identical");
 
+        let rescue = loaded.rescue.as_ref().unwrap();
+        assert!(!rescue.postings_built(), "a decoded index builds its postings on first use");
         let fp = permadead_rescue::Fingerprint {
             title: idx.entries()[0].title.clone(),
             sketch: idx.entries()[0].sketch,
         };
-        assert_eq!(
-            loaded.rescue.as_ref().unwrap().query(&fp, 3),
-            idx.query(&fp, 3),
-            "rebuilt postings answer queries identically"
-        );
+        assert_eq!(rescue.query(&fp, 3), idx.query(&fp, 3), "the first query's answer");
+        assert!(rescue.postings_built());
+        assert_eq!(rescue, &idx);
     }
 
     #[test]
@@ -1004,17 +1025,13 @@ mod tests {
         let names: Vec<&str> = sections.iter().map(|s| s.name).collect();
         assert_eq!(
             names,
-            [
-                "header", "interner", "link-tables", "live-web", "archive", "rescue-entries",
-                "checksum", "rescue-postings"
-            ]
+            ["header", "interner", "link-tables", "live-web", "archive", "rescue-entries", "checksum"]
         );
         let size = |name: &str| sections.iter().find(|s| s.name == name).unwrap().bytes;
         assert_eq!(sections.iter().map(|s| s.bytes).sum::<usize>(), bytes.len());
         // magic, version, seed, scale, rot_links, sample_size, two times, content seed
         assert_eq!(size("header"), 4 + 4 + 8 + (4 + "unit".len()) + 4 + 4 + 8 + 8 + 8);
         assert_eq!(size("checksum"), 8);
-        assert_eq!(size("rescue-postings"), 0, "postings are rebuilt, not stored");
         assert_eq!(size("rescue-entries"), bytes.len() - base.to_bytes().len() + 1);
     }
 
@@ -1056,14 +1073,19 @@ mod tests {
 
     #[test]
     fn file_round_trip() {
-        let world = build_world();
+        let base = build_world();
+        let world = build_world().with_rescue(RescueIndex::build(&base.web, t(2022), 1));
         let dir = std::env::temp_dir().join(format!("pdws-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("unit.pdw");
         let size = world.save(&path).unwrap();
         assert_eq!(size, std::fs::metadata(&path).unwrap().len());
-        let loaded = World::load(&path).unwrap();
+        let mut streamed = Vec::new();
+        let loaded = World::load_with_sections(&path, |s| streamed.push(s.clone())).unwrap();
         assert_eq!(loaded.to_bytes(), world.to_bytes());
+        let (_, sections) = World::from_bytes_with_sections(&world.to_bytes()).unwrap();
+        let layout = |v: &[SectionCost]| v.iter().map(|s| (s.name, s.bytes)).collect::<Vec<_>>();
+        assert_eq!(layout(&streamed), layout(&sections), "one decoder, two sources");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

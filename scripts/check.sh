@@ -154,21 +154,32 @@ if [ ! -s "$results_tmp/BENCH_world.json" ]; then
     echo "check.sh: repro_world_scale did not persist BENCH_world.json" >&2
     exit 1
 fi
-# The per-section load breakdown accounts for every snapshot byte: the body
-# sections sum to the snapshot size minus the header and the checksum.
-if ! awk '
+# The per-section load breakdown accounts for every snapshot byte: the five
+# body sections sum to the snapshot size minus the header and the checksum.
+world_num='
     function num(key) {
         if (!match($0, "\"" key "\":[0-9]+")) return -1
         return substr($0, RSTART + length(key) + 3, RLENGTH - length(key) - 3) + 0
-    }
+    }'
+if ! awk "$world_num"'
     /"bench":"world\/save"/ { total = num("bytes") }
     /"bench":"world\/section"/ {
         if ($0 ~ /"section":"(header|checksum)"/) framing += num("bytes")
         else { body += num("bytes"); sections++ }
     }
-    END { exit !(sections == 6 && total > 0 && body == total - framing) }
+    END { exit !(sections == 5 && total > 0 && body == total - framing) }
 ' "$results_tmp/BENCH_world.json"; then
     echo "check.sh: BENCH_world.json section bytes do not sum to the snapshot size" >&2
+    exit 1
+fi
+# The streamed load holds no more than it keeps: its heap peak stays within
+# 10% of the live heap after it (a whole-file read held through the decode
+# peaked at 1.5x).
+if ! awk "$world_num"'
+    /"bench":"world\/load"/ { live = num("heap_bytes"); peak = num("heap_peak_bytes") }
+    END { exit !(live > 0 && peak >= live && peak <= 1.1 * live) }
+' "$results_tmp/BENCH_world.json"; then
+    echo "check.sh: the snapshot load's heap peak is over 110% of what it keeps" >&2
     exit 1
 fi
 rm -rf "$world_dir" "$results_tmp" "$audit_miss" "$audit_hit" "$cache_log"
@@ -196,10 +207,25 @@ echo "check.sh: watch flag validation green"
 
 # Serve bench: close-mode is directly comparable to the historical
 # thread-per-connection line (~8.4k req/s); keepalive-mode exercises the
-# reactor's HTTP/1.1 connection reuse. Both lines persist side by side.
-bench_close="$(./target/release/bench-serve --requests 2000 --clients 8 2>/dev/null | tail -1)"
-bench_ka="$(./target/release/bench-serve --requests 6000 --clients 8 --mode keepalive 2>/dev/null | tail -1)"
-printf '%s\n%s\n' "$bench_close" "$bench_ka" > results/BENCH_serve.json
+# reactor's HTTP/1.1 connection reuse. Both benches below persist into a
+# scratch results directory, so a gate run leaves the committed
+# results/BENCH_*.json alone and the persist checks see this run's files.
+bench_results="$(mktemp -d)"
+# The bench run just made must have persisted its summary: check it, then
+# remove it so the next check sees only its own run's file.
+persisted() {
+    if [ ! -s "$bench_results/BENCH_$1.json" ]; then
+        echo "check.sh: bench-$1 did not persist BENCH_$1.json" >&2
+        exit 1
+    fi
+    rm -f "$bench_results/BENCH_$1.json"
+}
+bench_close="$(PERMADEAD_RESULTS_DIR="$bench_results" \
+    ./target/release/bench-serve --requests 2000 --clients 8 2>/dev/null | tail -1)"
+persisted serve
+bench_ka="$(PERMADEAD_RESULTS_DIR="$bench_results" \
+    ./target/release/bench-serve --requests 6000 --clients 8 --mode keepalive 2>/dev/null | tail -1)"
+persisted serve
 close_rps="$(sed -n 's/.*"requests_per_sec":\([0-9.]*\).*/\1/p' <<<"$bench_close")"
 ka_rps="$(sed -n 's/.*"requests_per_sec":\([0-9.]*\).*/\1/p' <<<"$bench_ka")"
 echo "check.sh: bench-serve close=${close_rps} req/s, keepalive=${ka_rps} req/s"
@@ -232,12 +258,14 @@ echo "check.sh: loadgen schedule golden green"
 
 # Then the ~2s fixed-rate open-loop smoke against a 2-reactor server: the
 # injector fires the same spec as the golden above and the report persists
-# to results/BENCH_loadgen.json. Gates: the offered 300/s must be achieved
-# (floor 200/s — a 2-reactor group must at least sustain the single-reactor
-# smoke rate), injector lateness p99 must stay bounded (ceiling 250ms —
-# generous for the 1-core container, but a seized reactor blows through it),
-# and every scheduled request must complete at the transport level.
-bench_lg="$(./target/release/bench-loadgen --rate 300 --duration 2 --seed 42 --unique 64 \
+# to BENCH_loadgen.json in the scratch results directory. Gates: the offered
+# 300/s must be achieved (floor 200/s — a 2-reactor group must at least
+# sustain the single-reactor smoke rate), injector lateness p99 must stay
+# bounded (ceiling 250ms — generous for the 1-core container, but a seized
+# reactor blows through it), and every scheduled request must complete at
+# the transport level.
+bench_lg="$(PERMADEAD_RESULTS_DIR="$bench_results" \
+    ./target/release/bench-loadgen --rate 300 --duration 2 --seed 42 --unique 64 \
     --watch-rate 10 --reactors 2 --injectors 4 2>/dev/null | tail -1)"
 lg_rps="$(sed -n 's/.*"achieved_rps":\([0-9.]*\).*/\1/p' <<<"$bench_lg")"
 lg_late="$(sed -n 's/.*"lateness_p99_ms":\([0-9.]*\).*/\1/p' <<<"$bench_lg")"
@@ -254,10 +282,8 @@ if grep -q '"transport":[1-9]' <<<"$bench_lg"; then
     echo "check.sh: open-loop run had transport failures: $bench_lg" >&2
     exit 1
 fi
-if [ ! -s results/BENCH_loadgen.json ]; then
-    echo "check.sh: bench-loadgen did not persist BENCH_loadgen.json" >&2
-    exit 1
-fi
+persisted loadgen
+rm -rf "$bench_results"
 echo "check.sh: open-loop loadgen smoke green"
 
 echo "check.sh: all green"

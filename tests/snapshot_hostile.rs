@@ -7,6 +7,8 @@
 //! and re-stamps the FNV-1a trailer, so the checksum cannot be what catches
 //! it: each collection count raised that way must be rejected where it
 //! stands, before anything is allocated for it. Another flips every bit.
+//! The file-backed cases run the same decoder as it streams a snapshot
+//! from disk through `World::load`.
 
 use permadead::archive::{ArchiveStore, Snapshot};
 use permadead::net::dns::{HostState, HostTimeline};
@@ -18,7 +20,8 @@ use permadead::url::Url;
 use permadead::web::{
     LiveWeb, Page, PageEvent, PageId, Site, SiteId, SiteLifecycle, UnknownPathPolicy,
 };
-use permadead_worldstore::{CodecError, RawLink, World, WorldMeta};
+use permadead_worldstore::{CodecError, LoadError, RawLink, World, WorldMeta};
+use std::path::PathBuf;
 
 fn t(y: i32) -> SimTime {
     SimTime::from_ymd(y, 6, 15)
@@ -188,4 +191,84 @@ fn every_flipped_bit_is_a_decode_error() {
             assert!(World::from_bytes(&flipped).is_err(), "bit {bit} of byte {at}");
         }
     }
+}
+
+/// A scratch directory for one test's snapshot files, removed on drop.
+struct Scratch(PathBuf);
+
+impl Scratch {
+    fn new(name: &str) -> Scratch {
+        let dir = std::env::temp_dir().join(format!("permadead-{name}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        Scratch(dir)
+    }
+
+    fn write(&self, bytes: &[u8]) -> PathBuf {
+        let path = self.0.join("world.pdw");
+        std::fs::write(&path, bytes).unwrap();
+        path
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+#[test]
+fn a_streamed_load_equals_a_slice_decode() {
+    let scratch = Scratch::new("stream-parity");
+    let bytes = world().to_bytes();
+    let path = scratch.write(&bytes);
+    let streamed = World::load(&path).expect("the snapshot loads");
+    let sliced = World::from_bytes(&std::fs::read(&path).unwrap()).expect("the snapshot decodes");
+    assert_eq!(streamed.to_bytes(), sliced.to_bytes());
+    assert_eq!(streamed.to_bytes(), bytes);
+}
+
+#[test]
+fn hostile_files_are_load_errors() {
+    let scratch = Scratch::new("hostile-file");
+    let bytes = world().to_bytes();
+    let (_, sections) = World::from_bytes_with_sections(&bytes).unwrap();
+    let mut ends = Vec::new();
+    let mut end = 0;
+    for s in &sections {
+        ends.push((s.name, end, end + s.bytes));
+        end += s.bytes;
+    }
+    assert_eq!(end, bytes.len());
+
+    // cut short at every section boundary and at the last byte
+    let cuts = ends.iter().map(|&(_, _, end)| end).filter(|&end| end < bytes.len());
+    for cut in cuts.chain([bytes.len() - 1]) {
+        let path = scratch.write(&bytes[..cut]);
+        assert!(
+            matches!(World::load(&path), Err(LoadError::Codec(_))),
+            "truncated to {cut} of {} bytes",
+            bytes.len()
+        );
+    }
+
+    // one byte past the checksum
+    let mut longer = bytes.clone();
+    longer.push(0);
+    let path = scratch.write(&longer);
+    assert!(matches!(
+        World::load(&path),
+        Err(LoadError::Codec(CodecError::TrailingBytes { at })) if at == bytes.len()
+    ));
+
+    // one flipped bit in the middle of every section
+    for &(name, start, end) in &ends {
+        let mut flipped = bytes.clone();
+        flipped[(start + end) / 2] ^= 0x10;
+        let path = scratch.write(&flipped);
+        assert!(matches!(World::load(&path), Err(LoadError::Codec(_))), "bit flipped in {name}");
+    }
+
+    // a directory opens, but reading it fails
+    assert!(matches!(World::load(&scratch.0), Err(LoadError::Io(_))));
+    assert!(matches!(World::load(&scratch.0.join("missing.pdw")), Err(LoadError::Io(_))));
 }
