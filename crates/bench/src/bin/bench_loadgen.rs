@@ -213,11 +213,10 @@ fn main() -> ExitCode {
     let addr = handle.addr();
     let process = if opts.poisson { "poisson" } else { "fixed" };
     eprintln!(
-        "[bench-loadgen] {} workers / {} reactor(s) on {addr} (reuseport {}): \
+        "[bench-loadgen] {} workers / {} reactor(s) on {addr}: \
          {} scheduled requests over {:.1}s ({process} @ {:.0}/s), {} injector thread(s)",
         opts.workers,
         handle.reactor_count(),
-        handle.reuseport_active(),
         schedule.len(),
         opts.duration_secs,
         opts.rate_hz,
@@ -259,7 +258,7 @@ fn main() -> ExitCode {
     let line = format!(
         "{{\"bench\":\"loadgen/open-loop\",\"loop\":\"open\",\"process\":\"{process}\",\
          \"rate_hz\":{:.1},\"duration_s\":{:.2},\"seed\":{},\"unique_urls\":{},\
-         \"injectors\":{},\"workers\":{},\"reactors\":{},\"reuseport\":{},\
+         \"injectors\":{},\"workers\":{},\"reactors\":{},\
          \"stall_ms\":{},\"report\":{}}}",
         opts.rate_hz,
         opts.duration_secs,
@@ -268,7 +267,6 @@ fn main() -> ExitCode {
         opts.injectors,
         opts.workers,
         handle.reactor_count(),
-        handle.reuseport_active(),
         opts.stall_ms,
         report.to_json(),
     );

@@ -16,14 +16,13 @@
 //! random tiebreak). Hit/miss/eviction/expiry counters are cache-global
 //! atomics, so per-shard traffic rolls up into one accounting view.
 //!
-//! Shard choice is a consistent-hash ring over the URL
-//! ([`crate::partition::HashRing`]), not `hash % shards`: every reactor
-//! resolves a key to the same shard without coordination, load spreads
-//! evenly so no shard's lock is the contended one, and resizing the shard
-//! count between runs remaps only ~1/(n+1) of the key space instead of
-//! nearly all of it.
+//! Shard choice is `mix64(fnv1a(url)) % shards`, a pure function of the
+//! URL: every reactor and worker resolves a key to the same shard without
+//! coordination, and the finalizer spreads keys evenly so no shard's lock
+//! is the contended one. The shard count is fixed when the cache is built
+//! and every run starts cold, so there is no warm key set for a resize to
+//! keep in place.
 
-use crate::partition::HashRing;
 use parking_lot::Mutex;
 use permadead_net::{Counter, Duration, SimTime};
 use std::collections::HashMap;
@@ -106,7 +105,6 @@ impl CacheStats {
 /// cheap to clone (the serve crate stores pre-rendered response bodies).
 pub struct ShardedCache<V> {
     shards: Vec<Mutex<Shard<V>>>,
-    ring: HashRing,
     hits: Counter,
     misses: Counter,
     evictions: Counter,
@@ -125,6 +123,16 @@ pub fn fnv1a(key: &str) -> u64 {
     h
 }
 
+/// SplitMix64 finalizer. FNV-1a is weak in its low bits (bit 0 is the
+/// parity of the key bytes' low bits), and `% shards` reads exactly those
+/// bits: unmixed, same-shaped URLs land on half the shards or fewer. One
+/// multiply-xor cascade spreads every input bit over the whole word.
+fn mix64(mut h: u64) -> u64 {
+    h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    h ^ (h >> 31)
+}
+
 impl<V: Clone> ShardedCache<V> {
     pub fn new(config: CacheConfig) -> Self {
         let shards = config.shards.max(1);
@@ -139,7 +147,6 @@ impl<V: Clone> ShardedCache<V> {
                     })
                 })
                 .collect(),
-            ring: HashRing::new(shards),
             hits: Counter::default(),
             misses: Counter::default(),
             evictions: Counter::default(),
@@ -149,9 +156,9 @@ impl<V: Clone> ShardedCache<V> {
     }
 
     /// Which shard a key lands in — stable across runs, processes, and
-    /// reactor threads (consistent-hash ring over the FNV of the key).
+    /// reactor threads (the mixed FNV of the key, modulo the shard count).
     pub fn shard_of(&self, key: &str) -> usize {
-        self.ring.shard_for(key)
+        (mix64(fnv1a(key)) % self.shards.len() as u64) as usize
     }
 
     fn expired(&self, entry_inserted: SimTime, now: SimTime) -> bool {
@@ -370,8 +377,8 @@ mod tests {
 
     #[test]
     fn cross_shard_hit_miss_accounting() {
-        // capacity well above 64 keys: with the ring spreading keys
-        // near-binomially, a 16-entry shard slice would sit exactly at the
+        // capacity well above 64 keys: with keys spreading near-binomially
+        // over the shards, a 16-entry shard slice would sit exactly at the
         // mean occupancy and evict on ordinary variance — this test is
         // about the accounting ledger, not capacity pressure
         let c = tiny(4, 256);
@@ -412,11 +419,40 @@ mod tests {
 
     #[test]
     fn shard_choice_is_stable() {
-        let c = tiny(8, 8);
-        for k in ["http://a.org/", "http://b.org/x", "zzz"] {
-            assert_eq!(c.shard_of(k), c.shard_of(k));
+        // two caches with equal shard counts choose alike for every key
+        let (a, b) = (tiny(8, 8), tiny(8, 8));
+        for k in ["http://a.org/", "http://b.example/x?y=1", "zzz", ""] {
+            assert_eq!(a.shard_of(k), b.shard_of(k));
         }
         assert_eq!(fnv1a("abc"), fnv1a("abc"));
         assert_ne!(fnv1a("abc"), fnv1a("abd"));
+    }
+
+    #[test]
+    fn every_shard_owns_keys_and_load_is_balanced() {
+        // same-shaped URLs: unmixed `fnv1a % 8` puts these on 4 of the 8
+        // shards, so this also guards the finalizer
+        let c = tiny(8, 8);
+        let mut counts = vec![0usize; 8];
+        for i in 0..8000 {
+            counts[c.shard_of(&format!("http://host{i}.example/page/{i}"))] += 1;
+        }
+        let mean = 1000.0;
+        for (shard, &n) in counts.iter().enumerate() {
+            assert!(
+                (n as f64) > mean * 0.4 && (n as f64) < mean * 2.0,
+                "shard {shard} holds {n} of 8000 keys — badly unbalanced: {counts:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn zero_shards_clamp_to_one() {
+        let c = tiny(0, 8);
+        for i in 0..100 {
+            assert_eq!(c.shard_of(&format!("k{i}")), 0);
+        }
+        c.insert("k", 1, t0());
+        assert_eq!(c.get("k", t0()), Some(1));
     }
 }

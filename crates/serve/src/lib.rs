@@ -39,14 +39,12 @@ pub mod conn;
 pub mod json;
 pub mod metrics;
 pub mod origin;
-pub mod partition;
 pub mod server;
 pub mod service;
 pub mod wire;
 pub mod worldcache;
 
 pub use cache::{CacheConfig, CacheStats, ShardedCache};
-pub use partition::HashRing;
 pub use metrics::ServeMetrics;
 pub use origin::OriginLedger;
 pub use server::{start, ServerConfig, ServerHandle, WatchConfig};

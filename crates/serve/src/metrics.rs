@@ -34,7 +34,7 @@ pub struct EndpointCounter {
 /// series labeled `{reactor="k"}` next to the unlabeled aggregates.
 #[derive(Default)]
 pub struct ReactorMetrics {
-    /// Connections this reactor accepted (or adopted via hand-off).
+    /// Connections this reactor accepted.
     pub accepted_total: Counter,
     /// Connections this reactor currently holds open.
     pub open_connections: AtomicI64,
@@ -271,7 +271,7 @@ impl ServeMetrics {
         metric(
             "permadead_serve_reactor_accepted_total",
             "counter",
-            "Connections accepted (or adopted via hand-off), by reactor.",
+            "Connections accepted, by reactor.",
             &self
                 .reactors
                 .iter()

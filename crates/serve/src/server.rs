@@ -15,17 +15,14 @@
 //! old blocking path's 5s read and 250ms write timeouts are gone because
 //! nothing blocks).
 //!
-//! **Scale-out.** `reactors: N` runs N reactor threads. Preferred layout:
-//! every reactor binds its *own* listener on the same port via
-//! `SO_REUSEPORT`, so the kernel shards the accept queue and no accept lock
-//! exists in userspace. If the socket option can't be set (or `reuseport:
-//! false`), the server falls back to a **sharded accept hand-off**: reactor
-//! 0 owns the single listener and deals accepted sockets round-robin to its
-//! peers through per-reactor hand-off queues + wakers. Either way a
-//! connection lives its whole life on one reactor; workers route completions
+//! **Scale-out.** `reactors: N` runs N reactor threads, each with its *own*
+//! listener: one reactor binds a plain listener, several bind an
+//! `SO_REUSEPORT` group on the same port, so the kernel shards the accept
+//! queue and no accept lock exists in userspace. A connection lives its
+//! whole life on the reactor that accepted it; workers route completions
 //! back by the reactor index carried in the job. The verdict cache is
-//! partitioned by consistent hashing over the URL ([`crate::partition`]), so
-//! reactors and workers never serialize on one cache lock. Shutdown drains
+//! sharded by a hash of the URL ([`crate::cache`]), so reactors and workers
+//! never serialize on one cache lock. Shutdown drains
 //! gracefully: accepting stops immediately, idle connections close, and
 //! in-flight requests get [`DRAIN_DEADLINE_MS`] to finish.
 //!
@@ -130,14 +127,10 @@ pub struct ServerConfig {
     /// Enable `/debug/sleep` and `/debug/watch-advance` (load tests exercise
     /// admission control and the watch clock with them).
     pub debug_endpoints: bool,
-    /// Reactor threads. Each owns its own poll set, connection table, and —
-    /// when `SO_REUSEPORT` is available — its own listener on the shared
-    /// port. `max_conns` is enforced per reactor.
+    /// Reactor threads. Each owns its own poll set, connection table, and
+    /// listener; more than one share the port as an `SO_REUSEPORT` group.
+    /// `max_conns` is enforced per reactor.
     pub reactors: usize,
-    /// Allow the `SO_REUSEPORT` listener group (the default). `false` forces
-    /// the sharded accept hand-off fallback, where reactor 0 owns the only
-    /// listener — tests use this to exercise the fallback deterministically.
-    pub reuseport: bool,
     /// The continuous-monitoring workload behind `POST /watch`.
     pub watch: WatchConfig,
 }
@@ -154,7 +147,6 @@ impl Default for ServerConfig {
             retry_after_secs: 1,
             debug_endpoints: false,
             reactors: 1,
-            reuseport: true,
             watch: WatchConfig::default(),
         }
     }
@@ -185,16 +177,12 @@ struct Completion {
     response: HttpResponse,
 }
 
-/// One reactor's mailbox: what workers (completions) and sibling reactors
-/// (hand-off sockets) push at it from outside its thread.
+/// One reactor's mailbox: what workers push at it from outside its thread.
 struct ReactorShared {
     /// Worker → reactor: finished responses awaiting a writable socket.
     completions: Mutex<VecDeque<Completion>>,
-    /// Reactor 0 → this reactor, hand-off mode only: accepted sockets this
-    /// reactor should adopt. Empty forever in the `SO_REUSEPORT` layout.
-    handoff: Mutex<VecDeque<TcpStream>>,
-    /// Pulls this reactor out of `epoll_wait` when a completion or hand-off
-    /// lands, or shutdown begins.
+    /// Pulls this reactor out of `epoll_wait` when a completion lands or
+    /// shutdown begins.
     waker: Waker,
 }
 
@@ -261,9 +249,6 @@ pub struct ServerHandle {
     reactors: Vec<JoinHandle<()>>,
     pump: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
-    /// Whether the listener group actually got `SO_REUSEPORT` (false = the
-    /// hand-off fallback is active, or only one reactor runs).
-    reuseport_active: bool,
 }
 
 impl ServerHandle {
@@ -291,12 +276,6 @@ impl ServerHandle {
     /// How many reactor threads serve this listener group.
     pub fn reactor_count(&self) -> usize {
         self.inner.reactors.len()
-    }
-
-    /// Whether the kernel is sharding accepts via `SO_REUSEPORT` (false
-    /// with one reactor, or when the hand-off fallback engaged).
-    pub fn reuseport_active(&self) -> bool {
-        self.reuseport_active
     }
 
     /// Stop accepting, drain in-flight work, and join every thread. Each
@@ -336,67 +315,46 @@ const TOKEN_WAKER: Token = Token(usize::MAX - 1);
 /// instant — the deadline only bounds responses the server still owes.
 pub const DRAIN_DEADLINE_MS: u64 = 2_000;
 
-/// Try to build an `SO_REUSEPORT` listener group: `n` independent listeners
-/// on the same loopback port, each destined for its own reactor. Any
-/// failure (option unsupported, later bind losing a race) rolls the whole
-/// attempt back — the caller falls back to the hand-off layout.
-fn try_reuseport_group(port: u16, n: usize) -> Option<(SocketAddr, Vec<TcpListener>)> {
+/// Bind one nonblocking loopback listener per reactor: a plain listener
+/// for one reactor, an `SO_REUSEPORT` group on one port for several, so the
+/// kernel shards accepts across them. A failed bind is returned, never
+/// papered over with fewer listeners.
+fn bind_listeners(port: u16, n: usize) -> std::io::Result<Vec<TcpListener>> {
     const LOOPBACK: [u8; 4] = [127, 0, 0, 1];
-    let first = reactor::bind_reuseport(LOOPBACK, port).ok()?;
-    first.set_nonblocking(true).ok()?;
-    let addr = first.local_addr().ok()?;
+    let first = if n == 1 {
+        TcpListener::bind(("127.0.0.1", port))?
+    } else {
+        reactor::bind_reuseport(LOOPBACK, port)?
+    };
+    let port = first.local_addr()?.port();
     let mut group = vec![first];
     for _ in 1..n {
-        let l = reactor::bind_reuseport(LOOPBACK, addr.port()).ok()?;
-        l.set_nonblocking(true).ok()?;
-        group.push(l);
+        group.push(reactor::bind_reuseport(LOOPBACK, port)?);
     }
-    Some((addr, group))
+    for listener in &group {
+        listener.set_nonblocking(true)?;
+    }
+    Ok(group)
 }
 
-/// Bind the listener group, spawn the reactors + pool + watch pump, and
-/// return immediately.
+/// Bind the listeners, spawn the reactors + pool + watch pump, and return
+/// immediately.
 pub fn start(service: AuditService, config: ServerConfig) -> std::io::Result<ServerHandle> {
     let n = config.reactors.max(1);
-    // Listener layout: with one reactor a plain bind (no socket options to
-    // negotiate); with several, prefer the SO_REUSEPORT group and fall back
-    // to one listener owned by reactor 0 that deals sockets to its peers.
-    let mut listeners: Vec<Option<TcpListener>>;
-    let addr: SocketAddr;
-    let mut reuseport_active = false;
-    let group = if n > 1 && config.reuseport { try_reuseport_group(config.port, n) } else { None };
-    match group {
-        Some((bound, group)) => {
-            addr = bound;
-            listeners = group.into_iter().map(Some).collect();
-            reuseport_active = true;
-        }
-        None => {
-            let listener = TcpListener::bind(("127.0.0.1", config.port))?;
-            listener.set_nonblocking(true)?;
-            addr = listener.local_addr()?;
-            listeners = Vec::with_capacity(n);
-            listeners.push(Some(listener));
-            for _ in 1..n {
-                listeners.push(None);
-            }
-        }
-    }
+    let listeners = bind_listeners(config.port, n)?;
+    let addr = listeners[0].local_addr()?;
 
     // One poll set + waker per reactor; wakers live in Inner so workers and
-    // siblings can reach them, polls move into their reactor threads.
+    // the shutdown path can reach them, polls move into their reactor threads.
     let mut polls = Vec::with_capacity(n);
     let mut shared = Vec::with_capacity(n);
     for listener in &listeners {
         let poll = Poll::new()?;
         let waker = Waker::new(&poll, TOKEN_WAKER)?;
-        if let Some(l) = listener {
-            poll.register(l.as_raw_fd(), TOKEN_LISTENER, Interest::READABLE)?;
-        }
+        poll.register(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READABLE)?;
         polls.push(poll);
         shared.push(ReactorShared {
             completions: Mutex::new(VecDeque::new()),
-            handoff: Mutex::new(VecDeque::new()),
             waker,
         });
     }
@@ -433,7 +391,6 @@ pub fn start(service: AuditService, config: ServerConfig) -> std::io::Result<Ser
         let tx = tx.clone();
         std::thread::spawn(move || pump_loop(&inner, tx))
     };
-    let handoff_mode = n > 1 && !reuseport_active;
     let reactors: Vec<JoinHandle<()>> = polls
         .into_iter()
         .zip(listeners)
@@ -445,10 +402,8 @@ pub fn start(service: AuditService, config: ServerConfig) -> std::io::Result<Ser
                 Reactor {
                     inner: &inner,
                     idx,
-                    handoff_mode,
-                    rr: 0,
                     poll,
-                    listener,
+                    listener: Some(listener),
                     tx,
                     conns: Slab::new(),
                     accept_paused: false,
@@ -467,7 +422,6 @@ pub fn start(service: AuditService, config: ServerConfig) -> std::io::Result<Ser
         reactors,
         pump: Some(pump),
         workers,
-        reuseport_active,
     })
 }
 
@@ -593,17 +547,13 @@ fn retry_after_secs(inner: &Inner) -> u32 {
     base.saturating_mul(1 + occupied).min(60)
 }
 
-/// One event loop's owned state: poll set, listener (absent on hand-off
-/// peers), connection slab, and a job-sender clone whose drop (on exit)
+/// One event loop's owned state: poll set, listener (taken when the drain
+/// begins), connection slab, and a job-sender clone whose drop (on exit)
 /// helps release the workers.
 struct Reactor<'a> {
     inner: &'a Arc<Inner>,
     /// This reactor's index into `Inner::reactors` and the metrics slots.
     idx: usize,
-    /// Reactor 0 owns the only listener and deals sockets to its peers.
-    handoff_mode: bool,
-    /// Round-robin cursor for hand-off dealing.
-    rr: usize,
     poll: Poll,
     listener: Option<TcpListener>,
     tx: Sender<Job>,
@@ -638,7 +588,6 @@ impl Reactor<'_> {
                     Token(slot) => self.on_conn_event(slot, ev),
                 }
             }
-            self.adopt_handoffs();
             self.drain_completions();
             if accept_ready {
                 self.accept_burst();
@@ -656,8 +605,6 @@ impl Reactor<'_> {
         if let Some(listener) = self.listener.take() {
             let _ = self.poll.deregister(listener.as_raw_fd());
         }
-        // sockets dealt to us but never adopted: refuse by closing (drop)
-        self.inner.reactors[self.idx].handoff.lock().clear();
         // idle (Reading) connections owe nothing — close immediately
         let idle: Vec<usize> = self
             .conns
@@ -692,18 +639,8 @@ impl Reactor<'_> {
         self.inner.metrics.reactors[self.idx].open_connections.store(0, Ordering::Relaxed);
     }
 
-    /// Adopt sockets reactor 0 dealt to this reactor (hand-off mode only).
-    fn adopt_handoffs(&mut self) {
-        loop {
-            let stream = self.inner.reactors[self.idx].handoff.lock().pop_front();
-            let Some(stream) = stream else { break };
-            self.install(stream);
-        }
-    }
-
     /// Take ownership of an accepted socket: tune it, enforce `max_conns`
-    /// (per reactor), and register it for readiness. Shared by the accept
-    /// path and the hand-off adoption path.
+    /// (per reactor), and register it for readiness.
     fn install(&mut self, mut stream: TcpStream) {
         let _ = stream.set_nonblocking(true);
         let _ = stream.set_nodelay(true);
@@ -735,28 +672,15 @@ impl Reactor<'_> {
         mine.accepted_total.incr();
     }
 
-    /// Accept until `EAGAIN`. In hand-off mode reactor 0 deals sockets
-    /// round-robin across the group; otherwise (and for its own share) the
-    /// accepting reactor installs them locally. On fd-table exhaustion the
-    /// listener leaves the poll set until a connection closes, instead of
-    /// spinning on a readable-but-unacceptable listener.
+    /// Accept until `EAGAIN`, installing every socket on this reactor. On
+    /// fd-table exhaustion the listener leaves the poll set until a
+    /// connection closes, instead of spinning on a readable-but-unacceptable
+    /// listener.
     fn accept_burst(&mut self) {
-        let group = self.inner.reactors.len();
         loop {
             let Some(listener) = &self.listener else { return };
             match listener.accept() {
-                Ok((stream, _)) => {
-                    if self.handoff_mode {
-                        self.rr = (self.rr + 1) % group;
-                        if self.rr != self.idx {
-                            let peer = &self.inner.reactors[self.rr];
-                            peer.handoff.lock().push_back(stream);
-                            let _ = peer.waker.wake();
-                            continue;
-                        }
-                    }
-                    self.install(stream);
-                }
+                Ok((stream, _)) => self.install(stream),
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if matches!(e.raw_os_error(), Some(23) | Some(24)) => {
                     // ENFILE/EMFILE: no fd for the next accept — pause

@@ -326,3 +326,94 @@ fn rescue_index_and_rescued_study_identical_across_worker_counts() {
         assert_eq!(base.stage_stats, sharded.stage_stats);
     }
 }
+
+/// `--reactors` shards connections, never answers: a 2-reactor server
+/// answers every `/check` with the byte-identical verdict a 1-reactor
+/// server gives, and — because the cache shard is a pure function of the
+/// URL — the cache hit/miss ledger lands on identical totals for the same
+/// traffic.
+#[test]
+fn two_reactors_match_single_reactor_verdicts_and_cache_ledger() {
+    use permadead::serve::{start, AuditService, CacheConfig, ServerConfig, ServerHandle};
+    use std::io::{Read, Write};
+    use std::net::{SocketAddr, TcpStream};
+
+    fn percent_encode(s: &str) -> String {
+        let mut out = String::new();
+        for b in s.bytes() {
+            match b {
+                b'A'..=b'Z' | b'a'..=b'z' | b'0'..=b'9' | b'-' | b'_' | b'.' | b'~' => {
+                    out.push(b as char)
+                }
+                _ => out.push_str(&format!("%{b:02X}")),
+            }
+        }
+        out
+    }
+
+    fn get(addr: SocketAddr, path: &str) -> (String, String) {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .write_all(
+                format!("GET {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n").as_bytes(),
+            )
+            .expect("write");
+        let mut response = String::new();
+        stream.read_to_string(&mut response).expect("read");
+        let (head, body) = response
+            .split_once("\r\n\r\n")
+            .unwrap_or((response.as_str(), ""));
+        let status = head.lines().next().unwrap_or("").to_string();
+        (status, body.to_string())
+    }
+
+    fn spawn_server(reactors: usize) -> ServerHandle {
+        let cfg = ScenarioConfig {
+            rot_links: 40,
+            ..ScenarioConfig::small(7)
+        };
+        let service = AuditService::new(cfg, CacheConfig::default());
+        let config = ServerConfig {
+            workers: 2,
+            reactors,
+            ..ServerConfig::default()
+        };
+        start(service, config).expect("server starts")
+    }
+
+    let single = spawn_server(1);
+    let sharded = spawn_server(2);
+    assert_eq!(sharded.reactor_count(), 2);
+
+    let urls = single.service().sample_urls(24);
+    assert!(!urls.is_empty());
+    // two passes: the first misses and fills, the second must hit
+    for _pass in 0..2 {
+        for url in &urls {
+            let path = format!("/check?url={}", percent_encode(url));
+            let (s1, b1) = get(single.addr(), &path);
+            let (s2, b2) = get(sharded.addr(), &path);
+            assert!(s1.contains("200"), "{s1}");
+            assert_eq!(s1, s2);
+            assert_eq!(b1, b2, "verdict diverged for {url}");
+        }
+    }
+    let a = single.service().cache_stats();
+    let b = sharded.service().cache_stats();
+    assert_eq!(
+        (a.hits, a.misses),
+        (b.hits, b.misses),
+        "cache ledger diverged"
+    );
+    assert_eq!(
+        a.hits,
+        urls.len() as u64,
+        "second pass should hit every URL"
+    );
+
+    // the sharded server's healthz advertises its reactor count
+    let (_, health) = get(sharded.addr(), "/healthz");
+    assert!(health.contains("\"reactors\":2"), "{health}");
+    single.shutdown();
+    sharded.shutdown();
+}
