@@ -11,7 +11,7 @@ use crate::store::ArchiveStore;
 use permadead_net::latency::{LatencyModel, Millis};
 use permadead_net::retry::{AttemptFailure, RetryCause, RetryOutcome, RetryPolicy};
 use permadead_net::SimTime;
-use permadead_url::Url;
+use permadead_url::{Fnv1a, Url};
 
 /// Nonce for the `attempt`-th retry of a lookup whose first attempt used
 /// `base`. `attempt == 0` returns `base` unchanged, so a single-attempt
@@ -119,16 +119,12 @@ impl<'a> AvailabilityApi<'a> {
             // the key must identify *this* batch, not just its size — two
             // equal-size batches sharing timeout fate for a given nonce was
             // a latency-key collision
-            let mut hash: u64 = 0xcbf29ce484222325;
+            let mut hash = Fnv1a::new();
             for url in urls {
-                for b in url.to_string().bytes() {
-                    hash ^= b as u64;
-                    hash = hash.wrapping_mul(0x100000001b3);
-                }
-                hash ^= 0xff; // separator so ["ab","c"] != ["a","bc"]
-                hash = hash.wrapping_mul(0x100000001b3);
+                hash.write(url.to_string().as_bytes());
+                hash.write(&[0xff]); // separator so ["ab","c"] != ["a","bc"]
             }
-            let key = format!("avail-batch:{}:{hash:016x}", urls.len());
+            let key = format!("avail-batch:{}:{:016x}", urls.len(), hash.finish());
             if self.latency.exceeds_timeout(&key, nonce, timeout) {
                 return Err(AvailabilityError::Timeout);
             }

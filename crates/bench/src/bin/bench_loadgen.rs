@@ -1,4 +1,4 @@
-//! `bench-loadgen` — the **open-loop** counterpart to `bench-serve`.
+//! `bench-loadgen` — the workspace's load tool, **open-loop**.
 //!
 //! Generates a deterministic arrival schedule (see `permadead_loadgen`),
 //! starts the audit server in-process, fires the schedule from a dedicated
@@ -11,11 +11,18 @@
 //! ```text
 //! bench-loadgen [--rate HZ] [--duration S] [--process poisson|fixed] [--seed N]
 //!               [--unique U] [--workers W] [--reactors R] [--injectors I]
+//!               [--mode close|keepalive]
 //!               [--zipf-alpha A] [--diurnal-amplitude A] [--diurnal-period S]
 //!               [--hot-count K] [--hot-fraction F]
 //!               [--watch-rate HZ] [--watch-batch B]
 //!               [--stall-ms MS] [--print-schedule-head N]
 //! ```
+//!
+//! `--mode close` (default) opens a fresh connection per request; `--mode
+//! keepalive` holds one HTTP/1.1 connection per injector thread. Offered
+//! far more than the server can take (`--rate 200000 --duration 0.05`),
+//! a run measures saturated throughput in either mode: `achieved_rps` is
+//! what the server sustained, and lateness grows by design.
 //!
 //! `--stall-ms` injects a mid-run server stall: at one third of the run, a
 //! side thread occupies every worker with `GET /debug/sleep?ms=…`. The
@@ -28,13 +35,11 @@
 //! against a pinned golden to catch any drift in the RNG or samplers.
 
 use permadead_loadgen::{
-    fire, summarize, ArrivalProcess, DiurnalCurve, HotSkew, InjectorConfig, Schedule,
-    ScheduleSpec, WatchPumpSpec,
+    fire, issue, summarize, ArrivalProcess, ConnMode, DiurnalCurve, HotSkew, InjectorConfig,
+    Schedule, ScheduleSpec, WatchPumpSpec,
 };
 use permadead_serve::{start, AuditService, CacheConfig, ServerConfig};
 use permadead_sim::ScenarioConfig;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -47,6 +52,7 @@ struct Opts {
     workers: usize,
     reactors: usize,
     injectors: usize,
+    mode: ConnMode,
     zipf_alpha: f64,
     diurnal_amplitude: f64,
     diurnal_period_secs: f64,
@@ -68,6 +74,7 @@ fn parse_opts() -> Result<Opts, String> {
         workers: 4,
         reactors: 1,
         injectors: 4,
+        mode: ConnMode::Close,
         zipf_alpha: 0.8,
         diurnal_amplitude: 0.0,
         diurnal_period_secs: 0.0,
@@ -90,6 +97,13 @@ fn parse_opts() -> Result<Opts, String> {
                     "poisson" => true,
                     "fixed" => false,
                     other => return Err(format!("--process must be poisson|fixed, got {other:?}")),
+                }
+            }
+            "--mode" => {
+                opts.mode = match value.as_str() {
+                    "close" => ConnMode::Close,
+                    "keepalive" => ConnMode::KeepAlive,
+                    other => return Err(format!("--mode must be close|keepalive, got {other:?}")),
                 }
             }
             "--rate" => opts.rate_hz = value.parse().map_err(|_| bad())?,
@@ -149,17 +163,6 @@ fn spec_from(opts: &Opts) -> ScheduleSpec {
     }
 }
 
-/// One GET over a fresh connection; returns the full response text.
-fn get(addr: SocketAddr, path: &str) -> std::io::Result<String> {
-    let mut stream = TcpStream::connect(addr)?;
-    stream.write_all(
-        format!("GET {path} HTTP/1.1\r\nHost: bench\r\nConnection: close\r\n\r\n").as_bytes(),
-    )?;
-    let mut response = String::new();
-    stream.read_to_string(&mut response)?;
-    Ok(response)
-}
-
 fn main() -> ExitCode {
     let opts = match parse_opts() {
         Ok(o) => o,
@@ -168,7 +171,7 @@ fn main() -> ExitCode {
             eprintln!(
                 "usage: bench-loadgen [--rate HZ] [--duration S] [--process poisson|fixed] \
                  [--seed N] [--unique U] [--workers W] [--reactors R] [--injectors I] \
-                 [--zipf-alpha A] [--diurnal-amplitude A] [--diurnal-period S] \
+                 [--mode close|keepalive] [--zipf-alpha A] [--diurnal-amplitude A] [--diurnal-period S] \
                  [--hot-count K] [--hot-fraction F] [--watch-rate HZ] [--watch-batch B] \
                  [--stall-ms MS] [--print-schedule-head N]"
             );
@@ -212,9 +215,14 @@ fn main() -> ExitCode {
     };
     let addr = handle.addr();
     let process = if opts.poisson { "poisson" } else { "fixed" };
+    let mode = match opts.mode {
+        ConnMode::Close => "close",
+        ConnMode::KeepAlive => "keepalive",
+    };
     eprintln!(
         "[bench-loadgen] {} workers / {} reactor(s) on {addr}: \
-         {} scheduled requests over {:.1}s ({process} @ {:.0}/s), {} injector thread(s)",
+         {} scheduled requests over {:.1}s ({process} @ {:.0}/s), \
+         {} injector thread(s), {mode} mode",
         opts.workers,
         handle.reactor_count(),
         schedule.len(),
@@ -223,32 +231,33 @@ fn main() -> ExitCode {
         opts.injectors,
     );
 
+    let inject_cfg = InjectorConfig {
+        threads: opts.injectors,
+        mode: opts.mode,
+        ..InjectorConfig::default()
+    };
+
     // mid-run stall injection: occupy every worker with a debug sleep so
     // queued check traffic demonstrates the sched/resp divergence
     let staller = (opts.stall_ms > 0).then(|| {
         let delay = Duration::from_secs_f64(opts.duration_secs / 3.0);
         let stall_ms = opts.stall_ms;
         let workers = opts.workers;
+        let cfg = inject_cfg.clone();
         std::thread::spawn(move || {
             std::thread::sleep(delay);
             eprintln!("[bench-loadgen] injecting {stall_ms}ms stall across {workers} worker(s)");
-            let stalls: Vec<_> = (0..workers)
-                .map(|_| {
-                    std::thread::spawn(move || {
-                        let _ = get(addr, &format!("/debug/sleep?ms={stall_ms}"));
-                    })
-                })
-                .collect();
-            for s in stalls {
-                let _ = s.join();
-            }
+            let sleep = format!(
+                "GET /debug/sleep?ms={stall_ms} HTTP/1.1\r\nHost: loadgen\r\nConnection: close\r\n\r\n"
+            );
+            std::thread::scope(|scope| {
+                for _ in 0..workers {
+                    scope.spawn(|| issue(addr, sleep.as_bytes(), &cfg, &mut None));
+                }
+            });
         })
     });
 
-    let inject_cfg = InjectorConfig {
-        threads: opts.injectors,
-        ..InjectorConfig::default()
-    };
     let samples = fire(addr, &schedule, &inject_cfg);
     if let Some(s) = staller {
         let _ = s.join();
@@ -256,7 +265,7 @@ fn main() -> ExitCode {
     let report = summarize(&samples, inject_cfg.miss_tolerance.as_nanos() as u64);
 
     let line = format!(
-        "{{\"bench\":\"loadgen/open-loop\",\"loop\":\"open\",\"process\":\"{process}\",\
+        "{{\"bench\":\"loadgen/open-loop\",\"loop\":\"open\",\"process\":\"{process}\",\"mode\":\"{mode}\",\
          \"rate_hz\":{:.1},\"duration_s\":{:.2},\"seed\":{},\"unique_urls\":{},\
          \"injectors\":{},\"workers\":{},\"reactors\":{},\
          \"stall_ms\":{},\"report\":{}}}",

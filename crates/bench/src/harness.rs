@@ -45,7 +45,7 @@ impl Repro {
     }
 
     /// Build from an explicit config.
-    pub fn build(cfg: ScenarioConfig) -> Repro {
+    fn build(cfg: ScenarioConfig) -> Repro {
         eprintln!(
             "[permadead] generating world: {} rot links, seed {} ...",
             cfg.rot_links, cfg.seed
@@ -90,17 +90,12 @@ impl Repro {
     /// Run the pipeline over the March dataset at study time, honouring
     /// `PERMADEAD_JOBS`.
     pub fn march_study(&self) -> Study {
-        self.march_study_with(jobs_from_env())
-    }
-
-    /// Run the March pipeline with an explicit worker count.
-    pub fn march_study_with(&self, jobs: usize) -> Study {
         Study::run_with(
             &self.scenario.web,
             &self.scenario.archive,
             &self.march,
             self.scenario.config.study_time,
-            StudyOptions::with_jobs(jobs),
+            StudyOptions::with_jobs(jobs_from_env()),
         )
     }
 

@@ -1,4 +1,4 @@
-//! Shared harness for the reproduction binaries and benches.
+//! Shared harness for the reproduction binaries and `bench-loadgen`.
 //!
 //! Every `repro_*` binary regenerates one figure or table from the paper:
 //! build the scenario, collect the dataset(s), run the pipeline, print the
@@ -23,12 +23,12 @@ pub use harness::{config_from_env, jobs_from_env, Repro, WorldRepro};
 
 /// Persist a machine-readable benchmark summary under `results/`.
 ///
-/// Benches print their JSON lines to stdout for ad-hoc scraping, but CI and
-/// the roadmap want them on disk next to the paper-comparison tables:
+/// Bench binaries print their JSON lines to stdout for ad-hoc scraping, but
+/// CI and the roadmap want them on disk next to the paper-comparison tables:
 /// `results/BENCH_<name>.json`. The directory defaults to `<workspace>/results`
 /// and can be redirected with `PERMADEAD_RESULTS_DIR` (tests point it at a
 /// temp dir). Returns the path written, or the I/O error — callers decide
-/// whether a failed persist is fatal (benches just warn).
+/// whether a failed persist is fatal (the bench binaries just warn).
 pub fn persist_bench_results(name: &str, contents: &str) -> std::io::Result<std::path::PathBuf> {
     let dir = std::env::var_os("PERMADEAD_RESULTS_DIR")
         .map(std::path::PathBuf::from)

@@ -176,7 +176,7 @@ mod tests {
         let best_retry = &rows[4];
         let medic = &rows[5];
         assert!(single.still_timed_out > 0, "timeout never fired — tighten the model");
-        // the acceptance criterion: retries rescue strictly more copies
+        // the acceptance check: retries rescue strictly more copies
         assert!(
             best_retry.rescued > single.rescued,
             "5 attempts rescued {} vs single {}",

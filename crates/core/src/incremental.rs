@@ -47,6 +47,7 @@ use crate::soft404::soft404_probe_with_retry;
 use permadead_archive::ArchiveStore;
 use permadead_net::latency::Millis;
 use permadead_net::{FetchRecord, LiveStatus, Network, RetryOutcome, RetryPolicy, SimTime};
+use permadead_url::Fnv1a;
 
 /// What one re-audit pass did: how many links were re-run, and how many of
 /// those actually changed their finding (or stats contribution).
@@ -405,36 +406,30 @@ fn hash_outcome(h: &mut Fnv, outcome: &RetryOutcome) {
     h.u64(outcome.elapsed_ms);
 }
 
-/// FNV-1a, the same construction the worldstore codec uses for checksums.
-struct Fnv(u64);
+/// Typed fields over the shared FNV-1a state. Strings are length-prefixed
+/// so adjacent fields cannot run together.
+struct Fnv(Fnv1a);
 
 impl Fnv {
     fn new() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x1000_0000_01b3);
-        }
+        Fnv(Fnv1a::new())
     }
 
     fn str(&mut self, s: &str) {
         self.u64(s.len() as u64);
-        self.bytes(s.as_bytes());
+        self.0.write(s.as_bytes());
     }
 
     fn u64(&mut self, v: u64) {
-        self.bytes(&v.to_le_bytes());
+        self.0.write(&v.to_le_bytes());
     }
 
     fn i64(&mut self, v: i64) {
-        self.bytes(&v.to_le_bytes());
+        self.0.write(&v.to_le_bytes());
     }
 
     fn finish(self) -> u64 {
-        self.0
+        self.0.finish()
     }
 }
 
@@ -570,7 +565,7 @@ mod tests {
             }
         );
         // the maintained report is bit-identical to a from-scratch study at
-        // the new clock — the incremental acceptance criterion
+        // the new clock — the incremental acceptance check
         let fresh = Study::run(&web, &archive, &ds, after());
         assert_eq!(
             normalize_times(audit.findings()),

@@ -422,8 +422,8 @@ impl StudyOptions {
         // Shard granularity scales with corpus size: spawning a thread per
         // `len/jobs` links only pays once each shard amortizes its spawn +
         // reassembly overhead. At the 244-link study corpus this resolves to
-        // one shard (BENCH_pipeline.json used to show jobs=8 running at
-        // 0.72× jobs=1); at 18k links it still allows ~70 shards.
+        // one shard (eight shards there measured 0.72× the speed of one); at
+        // 18k links it still allows ~70 shards.
         let max_useful = len.div_ceil(MIN_LINKS_PER_SHARD).max(1);
         requested.clamp(1, len.max(1)).min(max_useful)
     }

@@ -8,6 +8,7 @@
 //! quantify how far the injector was pushed off its schedule.
 
 use crate::inject::Sample;
+use permadead_stats::nearest_rank;
 
 /// Lateness histogram bucket upper bounds, in milliseconds. The `+Inf`
 /// bucket is implicit (the last count in [`LoadReport::lateness_hist`]).
@@ -60,18 +61,13 @@ pub struct LoadReport {
     pub phases: Vec<PhaseBreakdown>,
 }
 
-/// The value at quantile `q` (0..=1) of an ascending-sorted slice, by the
-/// nearest-rank method; 0 for an empty slice.
-pub fn percentile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((sorted.len() as f64) * q).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
 fn ms(nanos: u64) -> f64 {
     nanos as f64 / 1e6
+}
+
+/// The nearest-rank quantile `q` of an ascending slice, in ms; 0 for none.
+fn quantile_ms(sorted: &[u64], q: f64) -> f64 {
+    ms(nearest_rank(sorted, q).unwrap_or(0))
 }
 
 /// Fold samples into the report. `miss_tolerance_nanos` is the injector's
@@ -137,16 +133,16 @@ pub fn summarize(samples: &[Sample], miss_tolerance_nanos: u64) -> LoadReport {
         offered: samples.len(),
         wall_secs,
         achieved_rps: if wall_secs > 0.0 { samples.len() as f64 / wall_secs } else { 0.0 },
-        sched_p50_ms: ms(percentile(&sched, 0.50)),
-        sched_p99_ms: ms(percentile(&sched, 0.99)),
-        sched_p999_ms: ms(percentile(&sched, 0.999)),
-        sched_max_ms: ms(sched.last().copied().unwrap_or(0)),
-        resp_p50_ms: ms(percentile(&resp, 0.50)),
-        resp_p99_ms: ms(percentile(&resp, 0.99)),
-        resp_p999_ms: ms(percentile(&resp, 0.999)),
-        resp_max_ms: ms(resp.last().copied().unwrap_or(0)),
-        lateness_p99_ms: ms(percentile(&late, 0.99)),
-        lateness_max_ms: ms(late.last().copied().unwrap_or(0)),
+        sched_p50_ms: quantile_ms(&sched, 0.50),
+        sched_p99_ms: quantile_ms(&sched, 0.99),
+        sched_p999_ms: quantile_ms(&sched, 0.999),
+        sched_max_ms: quantile_ms(&sched, 1.0),
+        resp_p50_ms: quantile_ms(&resp, 0.50),
+        resp_p99_ms: quantile_ms(&resp, 0.99),
+        resp_p999_ms: quantile_ms(&resp, 0.999),
+        resp_max_ms: quantile_ms(&resp, 1.0),
+        lateness_p99_ms: quantile_ms(&late, 0.99),
+        lateness_max_ms: quantile_ms(&late, 1.0),
         missed_slots: samples.iter().filter(|s| s.lateness_nanos > miss_tolerance_nanos).count(),
         lateness_hist,
         phases,
@@ -208,17 +204,6 @@ mod tests {
             status,
             phase,
         }
-    }
-
-    #[test]
-    fn percentile_nearest_rank() {
-        let v: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile(&v, 0.50), 50);
-        assert_eq!(percentile(&v, 0.99), 99);
-        assert_eq!(percentile(&v, 1.0), 100);
-        assert_eq!(percentile(&v, 0.001), 1);
-        assert_eq!(percentile(&[], 0.5), 0);
-        assert_eq!(percentile(&[7], 0.999), 7);
     }
 
     #[test]

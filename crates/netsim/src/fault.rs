@@ -11,6 +11,7 @@
 use crate::http::Vantage;
 use crate::time::SimTime;
 use parking_lot::Mutex;
+use permadead_url::fnv1a;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
@@ -245,15 +246,6 @@ pub enum Fault {
     GeoBlocked,
     /// 429 Too Many Requests: the per-day budget is exhausted.
     RateLimited,
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 #[cfg(test)]

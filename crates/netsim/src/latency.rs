@@ -12,6 +12,7 @@
 //! latency well in practice, and the explicit tail knob lets ablations dial
 //! the timeout-miss rate (EXPERIMENTS.md §7).
 
+use permadead_url::fnv1a;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -89,15 +90,6 @@ impl LatencyModel {
     pub fn exceeds_timeout(&self, key: &str, nonce: u64, timeout_ms: Millis) -> bool {
         self.sample(key, nonce) > timeout_ms
     }
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 #[cfg(test)]

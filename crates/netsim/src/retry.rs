@@ -17,6 +17,7 @@ use crate::dns::DnsError;
 use crate::error::FetchError;
 use crate::http::StatusCode;
 use crate::latency::Millis;
+use permadead_url::fnv1a;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -389,15 +390,6 @@ impl RetryPolicy {
             }
         }
     }
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 #[cfg(test)]

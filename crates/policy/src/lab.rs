@@ -12,8 +12,7 @@
 //! test — the whole point is that all policies replay the *same* fault
 //! timeline.
 
-use crate::fnv1a;
-use permadead_url::Url;
+use permadead_url::{fnv1a, Url};
 
 /// The scripted fate of one lab link. Days are offsets from the lab start.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -183,17 +183,6 @@ impl StateDist {
     }
 }
 
-/// FNV-1a, the workspace's stock deterministic string hash (same constants
-/// as `permadead-net`'s fault seeding and `permadead-sched`'s stagger).
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 #[cfg(test)]
 mod proptests {
     //! Cross-policy invariants, property-tested over random outcome

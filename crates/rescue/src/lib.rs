@@ -36,10 +36,10 @@
 //! key's run.
 
 use permadead_net::{SimTime, StatusCode};
-use permadead_text::gen::fnv1a;
 use permadead_text::html::extract_title;
 use permadead_text::sketch::SKETCH_SIZE;
 use permadead_text::MinHashSketch;
+use permadead_url::fnv1a;
 use permadead_web::page::PathView;
 use permadead_web::{LiveWeb, Site};
 use std::collections::BTreeSet;

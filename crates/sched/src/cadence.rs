@@ -7,8 +7,8 @@
 //! without losing determinism — the jitter is a pure hash of
 //! `(seed, url, check#)`, never a clock or a global RNG).
 
-use crate::fnv1a;
 use permadead_net::Duration;
+use permadead_url::fnv1a;
 use std::fmt;
 
 /// Aging stretches the interval by ×2 per stable check, capped at this many

@@ -57,14 +57,3 @@ pub use watcher::Watcher;
 pub use permadead_policy::{
     DeadPolicy, LinkState, Observation, PolicySpec, StateDist, Transition, POLICY_USAGE,
 };
-
-/// FNV-1a, the workspace's stock deterministic string hash (same constants
-/// as `permadead-net`'s fault seeding and `permadead-serve`'s cache shards).
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}

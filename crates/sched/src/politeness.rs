@@ -10,9 +10,9 @@
 //! A refused check is not dropped: the scheduler defers it to the next UTC
 //! midnight, where it competes again under a fresh bucket.
 
-use crate::fnv1a;
 use parking_lot::Mutex;
 use permadead_net::SimTime;
+use permadead_url::fnv1a;
 use std::collections::HashMap;
 
 const SHARDS: usize = 16;

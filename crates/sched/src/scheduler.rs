@@ -144,7 +144,7 @@ impl Scheduler {
     /// first day (an FNV hash of the URL, not a random draw), so a bulk
     /// registration doesn't slam every host at the same instant.
     pub fn watch_staggered(&mut self, url: Url, start: SimTime) -> Option<usize> {
-        let stagger = (crate::fnv1a(url.to_string().as_bytes()) % 86_400) as i64;
+        let stagger = (permadead_url::fnv1a(url.to_string().as_bytes()) % 86_400) as i64;
         self.watch(url, start + Duration::seconds(stagger))
     }
 

@@ -25,6 +25,7 @@
 
 use parking_lot::Mutex;
 use permadead_net::{Counter, Duration, SimTime};
+use permadead_url::fnv1a;
 use std::collections::HashMap;
 
 /// Shape of the cache: shard count, total capacity, entry TTL.
@@ -112,17 +113,6 @@ pub struct ShardedCache<V> {
     ttl: Duration,
 }
 
-/// FNV-1a, the same stable hash everywhere: shard choice must not depend on
-/// `HashMap`'s per-process randomized state.
-pub fn fnv1a(key: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in key.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// SplitMix64 finalizer. FNV-1a is weak in its low bits (bit 0 is the
 /// parity of the key bytes' low bits), and `% shards` reads exactly those
 /// bits: unmixed, same-shaped URLs land on half the shards or fewer. One
@@ -158,7 +148,7 @@ impl<V: Clone> ShardedCache<V> {
     /// Which shard a key lands in — stable across runs, processes, and
     /// reactor threads (the mixed FNV of the key, modulo the shard count).
     pub fn shard_of(&self, key: &str) -> usize {
-        (mix64(fnv1a(key)) % self.shards.len() as u64) as usize
+        (mix64(fnv1a(key.as_bytes())) % self.shards.len() as u64) as usize
     }
 
     fn expired(&self, entry_inserted: SimTime, now: SimTime) -> bool {
@@ -424,8 +414,6 @@ mod tests {
         for k in ["http://a.org/", "http://b.example/x?y=1", "zzz", ""] {
             assert_eq!(a.shard_of(k), b.shard_of(k));
         }
-        assert_eq!(fnv1a("abc"), fnv1a("abc"));
-        assert_ne!(fnv1a("abc"), fnv1a("abd"));
     }
 
     #[test]

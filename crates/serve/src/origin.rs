@@ -10,8 +10,8 @@
 //! Sharded like the verdict cache (FNV-1a over the host) so concurrent
 //! workers auditing different origins never contend on one lock.
 
-use crate::cache::fnv1a;
 use parking_lot::Mutex;
+use permadead_url::fnv1a;
 use std::collections::HashMap;
 
 const SHARDS: usize = 16;
@@ -39,7 +39,7 @@ impl OriginLedger {
     }
 
     fn shard(&self, host: &str) -> &Mutex<HashMap<String, OriginState>> {
-        &self.shards[(fnv1a(host) % SHARDS as u64) as usize]
+        &self.shards[(fnv1a(host.as_bytes()) % SHARDS as u64) as usize]
     }
 
     /// May a check against `host` still retry? A `false` answer counts the

@@ -12,7 +12,7 @@
 //! URLs the wiki never saw get synthetic provenance and are still audited
 //! against the live (simulated) web and archive.
 
-use crate::cache::{fnv1a, CacheConfig, CacheStats, ShardedCache};
+use crate::cache::{CacheConfig, CacheStats, ShardedCache};
 use crate::json::Object;
 use crate::origin::OriginLedger;
 use permadead_archive::ArchiveStore;
@@ -24,7 +24,7 @@ use permadead_core::{
 use permadead_net::{MetricsSnapshot, RetryPolicy, SimTime};
 use permadead_rescue::RescueIndex;
 use permadead_sim::{Scenario, ScenarioConfig};
-use permadead_url::Url;
+use permadead_url::{fnv1a, Url};
 use permadead_web::LiveWeb;
 use permadead_worldstore::World;
 use std::collections::HashMap;
@@ -469,7 +469,7 @@ impl AuditService {
 /// to keep `usize` arithmetic far from overflow anywhere the index is used
 /// as a base offset.
 fn stable_index(key: &str) -> usize {
-    (fnv1a(key) & 0x7fff_ffff) as usize
+    (fnv1a(key.as_bytes()) & 0x7fff_ffff) as usize
 }
 
 /// Append the volatile `cached` field to a cached core object.

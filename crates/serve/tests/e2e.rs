@@ -3,48 +3,9 @@
 
 use permadead_serve::{start, AuditService, CacheConfig, ServerConfig, ServerHandle};
 use permadead_sim::ScenarioConfig;
-use std::io::{Read, Write};
-use std::net::TcpStream;
 
-/// Issue one request against `addr`, return (status_line, headers, body).
-fn request(addr: std::net::SocketAddr, raw: &str) -> (String, String, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.write_all(raw.as_bytes()).expect("write");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read");
-    let (head, body) = response
-        .split_once("\r\n\r\n")
-        .unwrap_or((response.as_str(), ""));
-    let (status, headers) = head.split_once("\r\n").unwrap_or((head, ""));
-    (status.to_string(), headers.to_string(), body.to_string())
-}
-
-fn get(addr: std::net::SocketAddr, path: &str) -> (String, String, String) {
-    request(addr, &format!("GET {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"))
-}
-
-fn percent_encode(s: &str) -> String {
-    let mut out = String::new();
-    for b in s.bytes() {
-        match b {
-            b'a'..=b'z' | b'A'..=b'Z' | b'0'..=b'9' | b'-' | b'.' | b'_' | b'~' => {
-                out.push(b as char)
-            }
-            _ => out.push_str(&format!("%{b:02X}")),
-        }
-    }
-    out
-}
-
-/// Scrape one counter value out of Prometheus text.
-fn metric_value(metrics_body: &str, name: &str) -> f64 {
-    metrics_body
-        .lines()
-        .find(|l| l.starts_with(name) && !l.starts_with('#'))
-        .and_then(|l| l.rsplit_once(' '))
-        .and_then(|(_, v)| v.parse().ok())
-        .unwrap_or_else(|| panic!("metric {name} not found"))
-}
+mod common;
+use common::{get, metric_value, percent_encode, request};
 
 fn spawn_server() -> ServerHandle {
     let cfg = ScenarioConfig {

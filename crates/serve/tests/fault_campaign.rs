@@ -21,8 +21,9 @@ use permadead_net::fault::FaultProfile;
 use permadead_net::RetryPolicy;
 use permadead_serve::{start, AuditService, CacheConfig, ServerConfig, ServerHandle};
 use permadead_sim::{Scenario, ScenarioConfig};
-use std::io::{Read, Write};
-use std::net::TcpStream;
+
+mod common;
+use common::{get, metric_value, percent_encode};
 
 const RETRY_SEED: u64 = 0xFA;
 const FAULT_SEED: u64 = 0xFA17;
@@ -32,42 +33,6 @@ fn world_config() -> ScenarioConfig {
         rot_links: 160,
         ..ScenarioConfig::small(7)
     }
-}
-
-fn get(addr: std::net::SocketAddr, path: &str) -> (String, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .write_all(format!("GET {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n").as_bytes())
-        .expect("write");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read");
-    let (head, body) = response
-        .split_once("\r\n\r\n")
-        .unwrap_or((response.as_str(), ""));
-    let status = head.lines().next().unwrap_or("").to_string();
-    (status, body.to_string())
-}
-
-fn percent_encode(s: &str) -> String {
-    let mut out = String::new();
-    for b in s.bytes() {
-        match b {
-            b'a'..=b'z' | b'A'..=b'Z' | b'0'..=b'9' | b'-' | b'.' | b'_' | b'~' => {
-                out.push(b as char)
-            }
-            _ => out.push_str(&format!("%{b:02X}")),
-        }
-    }
-    out
-}
-
-fn metric_value(metrics_body: &str, name: &str) -> f64 {
-    metrics_body
-        .lines()
-        .find(|l| l.starts_with(name) && !l.starts_with('#'))
-        .and_then(|l| l.rsplit_once(' '))
-        .and_then(|(_, v)| v.parse().ok())
-        .unwrap_or_else(|| panic!("metric {name} not found"))
 }
 
 /// `"live_status"` out of a `/check` body — the Figure-4 verdict the
@@ -80,7 +45,7 @@ fn live_status_of(body: &str) -> String {
 }
 
 fn check(addr: std::net::SocketAddr, url: &str) -> String {
-    let (status, body) = get(addr, &format!("/check?url={}", percent_encode(url)));
+    let (status, _, body) = get(addr, &format!("/check?url={}", percent_encode(url)));
     assert!(status.contains("200"), "{status}: {body}");
     body
 }
@@ -187,7 +152,7 @@ fn origin_retry_budget_exhausts_only_for_the_flapping_host() {
         check(server.addr(), &format!("http://{calm}/budget-probe-{i}"));
     }
 
-    let (_, metrics) = get(server.addr(), "/metrics");
+    let (_, _, metrics) = get(server.addr(), "/metrics");
     let series: Vec<&str> = metrics
         .lines()
         .filter(|l| l.starts_with("permadead_origin_retry_budget_exhausted_total{"))
@@ -289,7 +254,7 @@ fn fault_campaign_retries_bound_verdict_flips_and_counters_match_exactly() {
 
     // ---- exact counters: /metrics vs a local replay -----------------------
     // B never retries: its counters must be exactly zero.
-    let (_, metrics_b) = get(b.addr(), "/metrics");
+    let (_, _, metrics_b) = get(b.addr(), "/metrics");
     for (label, _) in permadead_net::RetryCounts::default().per_cause() {
         assert_eq!(
             metric_value(&metrics_b, &format!("permadead_retries_total{{cause=\"{label}\"}}")),
@@ -316,7 +281,7 @@ fn fault_campaign_retries_bound_verdict_flips_and_counters_match_exactly() {
     }
     assert!(expected.total() > 0, "the campaign provoked no retries at all");
 
-    let (_, metrics_c) = get(c.addr(), "/metrics");
+    let (_, _, metrics_c) = get(c.addr(), "/metrics");
     for (label, want) in expected.per_cause() {
         assert_eq!(
             metric_value(&metrics_c, &format!("permadead_retries_total{{cause=\"{label}\"}}")),

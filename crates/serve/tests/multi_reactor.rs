@@ -8,29 +8,11 @@
 use permadead_serve::{start, AuditService, CacheConfig, ServerConfig, ServerHandle};
 use permadead_sim::ScenarioConfig;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
-fn get(addr: SocketAddr, path: &str) -> (String, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .write_all(format!("GET {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n").as_bytes())
-        .expect("write");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read");
-    let (head, body) = response.split_once("\r\n\r\n").unwrap_or((response.as_str(), ""));
-    let status = head.lines().next().unwrap_or("").to_string();
-    (status, body.to_string())
-}
-
-fn metric_value(metrics_body: &str, series: &str) -> f64 {
-    metrics_body
-        .lines()
-        .find(|l| l.starts_with(series) && !l.starts_with('#'))
-        .and_then(|l| l.rsplit_once(' '))
-        .and_then(|(_, v)| v.parse().ok())
-        .unwrap_or_else(|| panic!("series {series} not found"))
-}
+mod common;
+use common::{get, metric_value};
 
 fn service() -> AuditService {
     let cfg = ScenarioConfig {
@@ -56,10 +38,10 @@ fn reuseport_group_engages_and_accounts_every_connection() {
     });
 
     for _ in 0..20 {
-        let (status, _) = get(handle.addr(), "/healthz");
+        let (status, _, _) = get(handle.addr(), "/healthz");
         assert!(status.contains("200"), "{status}");
     }
-    let (_, metrics) = get(handle.addr(), "/metrics");
+    let (_, _, metrics) = get(handle.addr(), "/metrics");
     let r0 = metric_value(&metrics, "permadead_serve_reactor_accepted_total{reactor=\"0\"}");
     let r1 = metric_value(&metrics, "permadead_serve_reactor_accepted_total{reactor=\"1\"}");
     // 21 accepted so far (the /metrics one may not have counted itself yet)

@@ -10,35 +10,9 @@ use permadead_net::Duration;
 use permadead_sched::{Cadence, PolicySpec};
 use permadead_serve::{start, AuditService, CacheConfig, ServerConfig, WatchConfig};
 use permadead_sim::{Scenario, ScenarioConfig};
-use std::io::{Read, Write};
-use std::net::TcpStream;
 
-fn request(addr: std::net::SocketAddr, raw: &str) -> (String, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.write_all(raw.as_bytes()).expect("write");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read");
-    let (head, body) = response
-        .split_once("\r\n\r\n")
-        .unwrap_or((response.as_str(), ""));
-    let (status, _) = head.split_once("\r\n").unwrap_or((head, ""));
-    (status.to_string(), body.to_string())
-}
-
-fn get(addr: std::net::SocketAddr, path: &str) -> (String, String) {
-    request(addr, &format!("GET {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"))
-}
-
-fn post(addr: std::net::SocketAddr, path: &str, body: &str) -> (String, String) {
-    request(
-        addr,
-        &format!(
-            "POST {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{}",
-            body.len(),
-            body
-        ),
-    )
-}
+mod common;
+use common::{get, metric_value, post};
 
 /// Pull `"key":<number>` out of a flat JSON object body.
 fn json_num(body: &str, key: &str) -> i64 {
@@ -52,15 +26,6 @@ fn json_num(body: &str, key: &str) -> i64 {
         .unwrap_or_else(|_| panic!("unparseable {key} in {body}"))
 }
 
-fn metric_value(metrics_body: &str, name: &str) -> f64 {
-    metrics_body
-        .lines()
-        .find(|l| l.starts_with(name) && !l.starts_with('#'))
-        .and_then(|l| l.rsplit_once(' '))
-        .and_then(|(_, v)| v.parse().ok())
-        .unwrap_or_else(|| panic!("metric {name} not found"))
-}
-
 /// Poll `path` until `pred` holds on the body (pump ticks every 25ms).
 fn poll(
     addr: std::net::SocketAddr,
@@ -70,7 +35,7 @@ fn poll(
 ) -> String {
     let mut last = String::new();
     for _ in 0..200 {
-        let (_, body) = get(addr, path);
+        let (_, _, body) = get(addr, path);
         if pred(&body) {
             return body;
         }
@@ -144,17 +109,17 @@ fn watch_flip_updates_the_incremental_report_by_exactly_one_link() {
     let addr = handle.addr();
 
     // baseline: first /report builds the engine with one full pass
-    let (status, report) = get(addr, "/report");
+    let (status, _, report) = get(addr, "/report");
     assert!(status.contains("200"), "{status}: {report}");
     let n = json_num(&report, "n");
     let baseline_200 = json_num(&report, "final_200");
     assert!(n > 0 && baseline_200 > 0, "{report}");
 
     // watch the dataset link; day 0 check succeeds (no transition, no work)
-    let (_, body) = post(addr, "/watch", &format!("{target}\n"));
+    let (_, _, body) = post(addr, "/watch", &format!("{target}\n"));
     assert!(body.contains("\"registered\":1"), "{body}");
     poll(addr, "/watchlist", "first check lands", |b| b.contains("\"checks\":1"));
-    let (_, metrics) = get(addr, "/metrics");
+    let (_, _, metrics) = get(addr, "/metrics");
     assert_eq!(metric_value(&metrics, "permadead_reaudit_links_total"), 0.0);
 
     // day 1: strike one (still no transition). day 2: tagged — the dirty
@@ -168,7 +133,7 @@ fn watch_flip_updates_the_incremental_report_by_exactly_one_link() {
         json_num(b, "final_200") == baseline_200 - 1
     });
     assert_eq!(json_num(&report, "n"), n, "n is run-level, not a delta casualty");
-    let (_, metrics) = get(addr, "/metrics");
+    let (_, _, metrics) = get(addr, "/metrics");
     assert_eq!(metric_value(&metrics, "permadead_reaudit_links_total"), 1.0, "one link, not a full study");
     assert_eq!(metric_value(&metrics, "permadead_reaudit_changed_total"), 1.0);
 
@@ -179,7 +144,7 @@ fn watch_flip_updates_the_incremental_report_by_exactly_one_link() {
     poll(addr, "/report", "final_200 restored", |b| {
         json_num(b, "final_200") == baseline_200
     });
-    let (_, metrics) = get(addr, "/metrics");
+    let (_, _, metrics) = get(addr, "/metrics");
     assert_eq!(metric_value(&metrics, "permadead_reaudit_links_total"), 2.0);
     assert_eq!(metric_value(&metrics, "permadead_reaudit_changed_total"), 2.0);
 

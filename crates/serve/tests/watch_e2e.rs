@@ -15,44 +15,9 @@ use permadead_sched::{Cadence, PolicySpec};
 use permadead_serve::{start, AuditService, CacheConfig, ServerConfig, WatchConfig};
 use permadead_sim::{Scenario, ScenarioConfig};
 use permadead_url::Url;
-use std::io::{Read, Write};
-use std::net::TcpStream;
 
-fn request(addr: std::net::SocketAddr, raw: &str) -> (String, String, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream.write_all(raw.as_bytes()).expect("write");
-    let mut response = String::new();
-    stream.read_to_string(&mut response).expect("read");
-    let (head, body) = response
-        .split_once("\r\n\r\n")
-        .unwrap_or((response.as_str(), ""));
-    let (status, headers) = head.split_once("\r\n").unwrap_or((head, ""));
-    (status.to_string(), headers.to_string(), body.to_string())
-}
-
-fn get(addr: std::net::SocketAddr, path: &str) -> (String, String, String) {
-    request(addr, &format!("GET {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"))
-}
-
-fn post(addr: std::net::SocketAddr, path: &str, body: &str) -> (String, String, String) {
-    request(
-        addr,
-        &format!(
-            "POST {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{}",
-            body.len(),
-            body
-        ),
-    )
-}
-
-fn metric_value(metrics_body: &str, name: &str) -> f64 {
-    metrics_body
-        .lines()
-        .find(|l| l.starts_with(name) && !l.starts_with('#'))
-        .and_then(|l| l.rsplit_once(' '))
-        .and_then(|(_, v)| v.parse().ok())
-        .unwrap_or_else(|| panic!("metric {name} not found"))
-}
+mod common;
+use common::{get, metric_value, post};
 
 /// Poll `/watchlist` until `pred` holds (the pump ticks every 25ms, so the
 /// state lands shortly after an advance; 2s is a generous ceiling).

@@ -14,5 +14,5 @@ pub mod twosample;
 pub use cdf::Cdf;
 pub use hist::{CategoricalCounts, LogBins};
 pub use render::{render_bar_chart, render_cdf, render_log_hist, render_table};
-pub use summary::{fraction, mean, median, pct, percentile};
+pub use summary::{fraction, mean, median, nearest_rank, pct, percentile};
 pub use twosample::{ks_test, KsTest};

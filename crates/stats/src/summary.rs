@@ -14,7 +14,19 @@ pub fn median(xs: &[f64]) -> f64 {
     percentile(xs, 50.0)
 }
 
-/// p-th percentile (nearest-rank). `p` in `[0, 100]`.
+/// The nearest-rank rule: the value at quantile `q` (in `[0, 1]`) of an
+/// ascending-sorted slice is the smallest sample with at least a `q` share
+/// of the samples at or below it — rank `ceil(q·n)`, clamped to `1..=n`.
+/// `None` for an empty slice.
+pub fn nearest_rank<T: Copy>(sorted: &[T], q: f64) -> Option<T> {
+    if sorted.is_empty() {
+        return None;
+    }
+    let rank = (q * sorted.len() as f64).ceil() as usize;
+    Some(sorted[rank.clamp(1, sorted.len()) - 1])
+}
+
+/// p-th percentile by [`nearest_rank`]. `p` in `[0, 100]`.
 ///
 /// NaN policy: NaN samples are ignored — the percentile is taken over the
 /// remaining ordered values, the same way a figure ignores a point it
@@ -26,11 +38,7 @@ pub fn percentile(xs: &[f64], p: f64) -> f64 {
     let mut v: Vec<f64> = xs.iter().copied().filter(|x| !x.is_nan()).collect();
     assert!(!v.is_empty(), "percentile of empty slice");
     v.sort_by(f64::total_cmp);
-    if p == 0.0 {
-        return v[0];
-    }
-    let rank = (p / 100.0 * v.len() as f64).ceil() as usize;
-    v[rank.clamp(1, v.len()) - 1]
+    nearest_rank(&v, p / 100.0).expect("non-empty")
 }
 
 /// `numerator / denominator` as a fraction, 0 when the denominator is 0.
@@ -70,6 +78,18 @@ mod tests {
         assert_eq!(percentile(&v, 100.0), 100.0);
         assert_eq!(percentile(&v, 0.0), 1.0);
         assert_eq!(percentile(&v, 1.0), 1.0);
+    }
+
+    #[test]
+    fn nearest_rank_rule() {
+        let v: Vec<u64> = (1..=100).collect();
+        assert_eq!(nearest_rank(&v, 0.50), Some(50));
+        assert_eq!(nearest_rank(&v, 0.99), Some(99));
+        assert_eq!(nearest_rank(&v, 1.0), Some(100));
+        assert_eq!(nearest_rank(&v, 0.001), Some(1));
+        assert_eq!(nearest_rank(&v, 0.0), Some(1));
+        assert_eq!(nearest_rank::<u64>(&[], 0.5), None);
+        assert_eq!(nearest_rank(&[7u64], 0.999), Some(7));
     }
 
     #[test]

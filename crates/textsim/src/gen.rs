@@ -109,9 +109,12 @@ impl ContentGen {
     }
 }
 
-/// FNV-1a, used to fold string keys into RNG seeds. Stable across platforms
-/// and Rust versions (unlike `DefaultHasher`), which keeps the worlds — and
-/// therefore every figure — reproducible.
+/// FNV-1a, used to fold string keys into RNG seeds and to digest sketched
+/// text. Stable across platforms and Rust versions (unlike `DefaultHasher`),
+/// which keeps the worlds — and therefore every figure — reproducible. This
+/// crate sits below `permadead-url`, so it keeps its own copy of
+/// `permadead_url::fnv1a`; crates that see both use that one.
+#[inline]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
     for &b in bytes {

@@ -8,6 +8,7 @@
 //! the second with bounded error in constant space, so snapshots carry
 //! `(digest, sketch)` instead of bodies.
 
+use crate::gen::fnv1a;
 use crate::shingle::shingles;
 
 /// Number of hash permutations. 32 gives a standard error of ~1/√32 ≈ 0.18
@@ -90,15 +91,6 @@ fn mix(mut x: u64) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d049bb133111eb);
     x ^ (x >> 31)
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
 }
 
 /// Per-permutation salts (first 32 values of splitmix64 from seed 0xDEAD).

@@ -17,8 +17,11 @@
 //!   spatial (§5.2) analyses ([`prefix`]).
 //! - Query-string canonicalization used when hunting archived copies that
 //!   differ only in parameter order (§5.2 implications) ([`query`]).
+//! - FNV-1a, the stable hash every URL-keyed seeded draw and the snapshot
+//!   checksum share ([`fnv`]).
 
 pub mod editdist;
+pub mod fnv;
 pub mod normalize;
 pub mod parse;
 pub mod prefix;
@@ -27,6 +30,7 @@ pub mod query;
 pub mod surt;
 
 pub use editdist::{bounded_levenshtein, levenshtein};
+pub use fnv::{fnv1a, Fnv1a};
 pub use normalize::normalize;
 pub use parse::{ParseError, Scheme, Url};
 pub use prefix::{directory_prefix, in_same_directory, last_segment, replace_last_segment};

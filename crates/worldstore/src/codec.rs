@@ -5,6 +5,7 @@
 //! compression — determinism and auditability beat density here (the format
 //! spec in DESIGN.md is readable against this file).
 
+use permadead_url::Fnv1a;
 use std::fmt;
 use std::io::{self, Read};
 
@@ -65,32 +66,20 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-pub(crate) fn fnv1a_init() -> u64 {
-    0xcbf29ce484222325
-}
-
-pub(crate) fn fnv1a_update(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 /// Append-only encoder with a running checksum.
 #[derive(Debug)]
 pub struct Writer {
     buf: Vec<u8>,
-    hash: u64,
+    hash: Fnv1a,
 }
 
 impl Writer {
     pub fn new() -> Self {
-        Writer { buf: Vec::new(), hash: fnv1a_init() }
+        Writer { buf: Vec::new(), hash: Fnv1a::new() }
     }
 
     fn raw(&mut self, bytes: &[u8]) {
-        self.hash = fnv1a_update(self.hash, bytes);
+        self.hash.write(bytes);
         self.buf.extend_from_slice(bytes);
     }
 
@@ -141,7 +130,7 @@ impl Writer {
     /// Finish the stream: append the checksum over everything written so far
     /// (the checksum itself is not hashed) and return the bytes.
     pub fn finish(mut self) -> Vec<u8> {
-        let h = self.hash;
+        let h = self.hash.finish();
         self.buf.extend_from_slice(&h.to_le_bytes());
         self.buf
     }
@@ -164,7 +153,7 @@ pub struct Reader<R> {
     inner: R,
     len: usize,
     pos: usize,
-    hash: u64,
+    hash: Fnv1a,
     /// The first failed read other than end of stream. The decoder sees it
     /// as [`CodecError::UnexpectedEof`]; [`Reader::take_io_error`] hands
     /// the cause to the caller.
@@ -181,7 +170,7 @@ impl<R: Read> Reader<R> {
     /// Decode `len` bytes from `inner`.
     pub fn from_stream(inner: R, len: u64) -> Self {
         let len = usize::try_from(len).unwrap_or(usize::MAX);
-        Reader { inner, len, pos: 0, hash: fnv1a_init(), io_error: None }
+        Reader { inner, len, pos: 0, hash: Fnv1a::new(), io_error: None }
     }
 
     pub fn position(&self) -> usize {
@@ -215,7 +204,7 @@ impl<R: Read> Reader<R> {
 
     fn fill(&mut self, out: &mut [u8]) -> Result<(), CodecError> {
         self.read_raw(out)?;
-        self.hash = fnv1a_update(self.hash, out);
+        self.hash.write(out);
         Ok(())
     }
 
@@ -287,7 +276,7 @@ impl<R: Read> Reader<R> {
     /// Read the trailing checksum and compare it against the bytes consumed
     /// so far. Also rejects trailing garbage.
     pub fn verify_checksum(&mut self) -> Result<(), CodecError> {
-        let found = self.hash;
+        let found = self.hash.finish();
         let mut stored = [0; 8];
         self.read_raw(&mut stored)?;
         let expected = u64::from_le_bytes(stored);

@@ -1,12 +1,10 @@
 #!/usr/bin/env bash
-# Tier-1 gate: what CI runs, runnable locally. Builds everything (including
-# benches), runs the full test suite, and holds the workspace to
-# warning-free clippy.
+# Tier-1 gate: what CI runs, runnable locally. Builds the workspace, runs
+# the full test suite, and holds the workspace to warning-free clippy.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release --offline --workspace
-cargo build --offline --benches
 cargo test -q --offline --workspace
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
@@ -205,11 +203,16 @@ if ./target/release/permadead watch --rediscovery bogus 2>/dev/null; then
 fi
 echo "check.sh: watch flag validation green"
 
-# Serve bench: close-mode is directly comparable to the historical
-# thread-per-connection line (~8.4k req/s); keepalive-mode exercises the
-# reactor's HTTP/1.1 connection reuse. Both benches below persist into a
-# scratch results directory, so a gate run leaves the committed
-# results/BENCH_*.json alone and the persist checks see this run's files.
+# Saturated throughput, one bench-loadgen run per connection mode. Each run
+# offers 10,000 requests in 50ms from 8 injector threads, far more than the
+# server can take, to 4 workers, 1 reactor and a queue cap of 64 (8 per
+# injector), so achieved_rps is what the server sustained; lateness grows by
+# design and is not gated here. Close mode pays a connection per request;
+# keepalive exercises the reactor's HTTP/1.1 connection reuse. Every
+# response must be 2xx, with no transport failure. These runs and the smoke
+# below persist into a scratch results directory, so a gate run leaves the
+# committed results/BENCH_*.json alone and the persist checks see this
+# run's files.
 bench_results="$(mktemp -d)"
 # The bench run just made must have persisted its summary: check it, then
 # remove it so the next check sees only its own run's file.
@@ -220,27 +223,27 @@ persisted() {
     fi
     rm -f "$bench_results/BENCH_$1.json"
 }
-bench_close="$(PERMADEAD_RESULTS_DIR="$bench_results" \
-    ./target/release/bench-serve --requests 2000 --clients 8 2>/dev/null | tail -1)"
-persisted serve
-bench_ka="$(PERMADEAD_RESULTS_DIR="$bench_results" \
-    ./target/release/bench-serve --requests 6000 --clients 8 --mode keepalive 2>/dev/null | tail -1)"
-persisted serve
-close_rps="$(sed -n 's/.*"requests_per_sec":\([0-9.]*\).*/\1/p' <<<"$bench_close")"
-ka_rps="$(sed -n 's/.*"requests_per_sec":\([0-9.]*\).*/\1/p' <<<"$bench_ka")"
-echo "check.sh: bench-serve close=${close_rps} req/s, keepalive=${ka_rps} req/s"
-# floor well above the old blocking server's ~8.4k so a regression back to
-# thread-per-connection behavior fails loudly, with margin for CI noise
-# (the reactor measures ~26k on the 1-core container)
-if ! awk -v rps="$close_rps" 'BEGIN { exit !(rps >= 12000) }'; then
-    echo "check.sh: close-mode throughput ${close_rps} req/s under the 12k floor" >&2
-    exit 1
-fi
-if ! awk -v rps="$ka_rps" 'BEGIN { exit !(rps >= 12000) }'; then
-    echo "check.sh: keepalive throughput ${ka_rps} req/s under the 12k floor" >&2
-    exit 1
-fi
-echo "check.sh: serve bench green"
+for mode in close keepalive; do
+    bench_sat="$(PERMADEAD_RESULTS_DIR="$bench_results" \
+        ./target/release/bench-loadgen --rate 200000 --duration 0.05 --injectors 8 \
+        --unique 64 --mode "$mode" 2>/dev/null | tail -1)"
+    persisted loadgen
+    sat_rps="$(sed -n 's/.*"achieved_rps":\([0-9.]*\).*/\1/p' <<<"$bench_sat")"
+    echo "check.sh: bench-loadgen ${mode} mode saturated at ${sat_rps} req/s"
+    # floor well above the old blocking server's ~8.4k so a regression back
+    # to thread-per-connection behavior fails loudly, with margin for CI
+    # noise (the reactor measured 12.7-25.8k close and 42.5-57.7k keepalive
+    # on a 2-vCPU VM)
+    if ! awk -v rps="$sat_rps" 'BEGIN { exit !(rps >= 12000) }'; then
+        echo "check.sh: ${mode}-mode throughput ${sat_rps} req/s under the 12k floor" >&2
+        exit 1
+    fi
+    if grep -qE '"(err_4xx|err_503|err_5xx_other|transport)":[1-9]' <<<"$bench_sat"; then
+        echo "check.sh: ${mode}-mode run had a non-2xx response or a transport failure: $bench_sat" >&2
+        exit 1
+    fi
+done
+echo "check.sh: saturated throughput green"
 
 # Open-loop load bench. First the determinism golden: the schedule head on
 # the pinned seed is a pure function of (spec, world) — any drift in the
@@ -261,7 +264,7 @@ echo "check.sh: loadgen schedule golden green"
 # to BENCH_loadgen.json in the scratch results directory. Gates: the offered
 # 300/s must be achieved (floor 200/s — a 2-reactor group must at least
 # sustain the single-reactor smoke rate), injector lateness p99 must stay
-# bounded (ceiling 250ms — generous for the 1-core container, but a seized
+# bounded (ceiling 250ms — generous for a 2-vCPU VM, but a seized
 # reactor blows through it), and every scheduled request must complete at
 # the transport level.
 bench_lg="$(PERMADEAD_RESULTS_DIR="$bench_results" \
