@@ -54,13 +54,6 @@ impl ArchiveStore {
         self.rows.len()
     }
 
-    /// Monotone insertion counter: bumps on every [`insert`](Self::insert)
-    /// and never decreases, so derived state (e.g. an archive content
-    /// digest) can be cached against it instead of rescanning the index.
-    pub fn mutation_stamp(&self) -> u64 {
-        self.rows.len() as u64
-    }
-
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
     }
@@ -144,15 +137,14 @@ impl ArchiveStore {
     }
 }
 
-/// Bulk build: the same rows, keys and [`ArchiveStore::mutation_stamp`] as
-/// [`ArchiveStore::insert`]ing the snapshots one by one in iteration order.
-/// Each row goes straight into the arena (sized from the iterator's upper
-/// bound — a decoder's count, bounded by the bytes left — so it is not
-/// reallocated as it fills) and the index is built once from the
-/// keys, with full B-tree nodes instead of the half-full ones that
-/// one-at-a-time inserts leave behind. Input already in key order (a
-/// decoded snapshot) sorts in one linear pass; any other order is sorted
-/// first.
+/// Bulk build: the same rows and keys as [`ArchiveStore::insert`]ing the
+/// snapshots one by one in iteration order. Each row goes straight into
+/// the arena (sized from the iterator's upper bound — a decoder's count,
+/// bounded by the bytes left — so it is not reallocated as it fills) and
+/// the index is built once from the keys, with full B-tree nodes instead
+/// of the half-full ones that one-at-a-time inserts leave behind. Input
+/// already in key order (a decoded snapshot) sorts in one linear pass; any
+/// other order is sorted first.
 impl FromIterator<Snapshot> for ArchiveStore {
     fn from_iter<I: IntoIterator<Item = Snapshot>>(snapshots: I) -> Self {
         let snapshots = snapshots.into_iter();
@@ -328,8 +320,7 @@ mod tests {
                 );
             }
             assert_eq!(collected.distinct_urls(), inserted.distinct_urls());
-            assert_eq!(collected.mutation_stamp(), inserted.mutation_stamp());
-            assert_eq!(collected.mutation_stamp(), snaps.len() as u64);
+            assert_eq!(collected.len(), snaps.len());
             // two exact-URL lookups, then two prefix scans of 6 and 7 rows
             for store in [&collected, &inserted] {
                 let counters = (store.lookups.get(), store.rows_scanned.get());

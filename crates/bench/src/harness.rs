@@ -59,22 +59,9 @@ impl Repro {
             scenario.wiki.len(),
             scenario.permanently_dead_urls().len(),
         );
-        // The paper crawls the first 10,000 category articles; our category
-        // is smaller, so take ~60% of it alphabetically for the March
-        // flavour and sample from everywhere for September.
-        let category_size = scenario.wiki.permanently_dead_category().len();
-        let march_articles = (category_size * 6 / 10).max(1);
-        let march = Dataset::alphabetical(
-            &scenario.wiki,
-            march_articles,
-            scenario.config.sample_size,
-            scenario.config.seed ^ 0xA1,
-        );
-        let september = Dataset::random(
-            &scenario.wiki,
-            scenario.config.sample_size,
-            scenario.config.seed ^ 0xB2,
-        );
+        let (sample, seed) = (scenario.config.sample_size, scenario.config.seed);
+        let march = Dataset::march(&scenario.wiki, sample, seed);
+        let september = Dataset::september(&scenario.wiki, sample, seed);
         eprintln!(
             "[permadead] datasets: march={} links, september={} links",
             march.len(),

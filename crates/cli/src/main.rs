@@ -189,7 +189,7 @@ impl CliWorld {
     /// table for a snapshot.
     fn march_dataset(&self) -> Dataset {
         match self {
-            CliWorld::Generated(s) => march_dataset(s),
+            CliWorld::Generated(s) => Dataset::march(&s.wiki, s.config.sample_size, s.config.seed),
             CliWorld::Snapshot(w) => Dataset::from_table(&w.march, &w.interner),
         }
     }
@@ -295,18 +295,6 @@ fn rediscovery_from(args: &Args) -> Result<bool, Box<dyn std::error::Error>> {
             Err(format!("flag --rediscovery must be `on` or `off`, got {other:?}").into())
         }
     }
-}
-
-/// The batch dataset `audit` and `serve` share: 60% of the category,
-/// alphabetical, sample-capped, seeded `seed ^ 0xA1`.
-fn march_dataset(scenario: &Scenario) -> Dataset {
-    let category = scenario.wiki.permanently_dead_category().len();
-    Dataset::alphabetical(
-        &scenario.wiki,
-        (category * 6 / 10).max(1),
-        scenario.config.sample_size,
-        scenario.config.seed ^ 0xA1,
-    )
 }
 
 fn march_study(

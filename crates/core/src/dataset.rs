@@ -70,6 +70,27 @@ impl Dataset {
         }
     }
 
+    /// The March sample every consumer shares: `audit`, `serve`, the repro
+    /// binaries and the world snapshot. The paper crawls the first 10,000
+    /// category articles; our category is smaller, so take ~60% of it
+    /// alphabetically, capped at `sample` links, seeded `seed ^ 0xA1`.
+    pub fn march(wiki: &WikiStore, sample: usize, seed: u64) -> Dataset {
+        let category = wiki.permanently_dead_category().len();
+        Dataset::alphabetical(wiki, (category * 6 / 10).max(1), sample, seed ^ 0xA1)
+    }
+
+    /// The September sample: `sample` links drawn from every tagged URL
+    /// wiki-wide, seeded `seed ^ 0xB2`.
+    pub fn september(wiki: &WikiStore, sample: usize, seed: u64) -> Dataset {
+        Dataset::random(wiki, sample, seed ^ 0xB2)
+    }
+
+    /// Every IABot-tagged URL wiki-wide, unsampled: provenance for links
+    /// outside the March sample.
+    pub fn all_tagged(wiki: &WikiStore) -> Dataset {
+        Dataset::random(wiki, usize::MAX, 0)
+    }
+
     pub fn len(&self) -> usize {
         self.entries.len()
     }

@@ -240,13 +240,6 @@ impl RetryPolicy {
         self
     }
 
-    pub fn with_backoff(mut self, base_ms: Millis, multiplier: f64, max_ms: Millis) -> Self {
-        self.base_backoff_ms = base_ms;
-        self.backoff_multiplier = multiplier;
-        self.max_backoff_ms = max_ms;
-        self
-    }
-
     /// Does this policy ever retry?
     pub fn retries_enabled(&self) -> bool {
         self.max_attempts > 1

@@ -156,12 +156,6 @@ impl fmt::Display for Date {
     }
 }
 
-impl Date {
-    pub fn at_midnight(self) -> SimTime {
-        SimTime::from_ymd(self.year, self.month, self.day)
-    }
-}
-
 /// Days since 1970-01-01 for a civil date (Hinnant's algorithm).
 fn days_from_civil(y: i32, m: u32, d: u32) -> i64 {
     debug_assert!((1..=12).contains(&m), "month {m}");

@@ -92,10 +92,6 @@ impl Watcher {
     pub fn evidence(&self) -> u32 {
         self.policy.evidence()
     }
-
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
-    }
 }
 
 #[cfg(test)]

@@ -31,14 +31,17 @@ pub struct EndpointCounter {
 /// reactor owns its own listener and connection table, so aggregate series
 /// alone can't show a skewed accept split or one reactor monopolizing the
 /// write-abort budget — these render as `permadead_serve_reactor_*`
-/// series labeled `{reactor="k"}` next to the unlabeled aggregates.
+/// series labeled `{reactor="k"}`, and the unlabeled aggregates next to
+/// them are their sums.
 #[derive(Default)]
 pub struct ReactorMetrics {
     /// Connections this reactor accepted.
     pub accepted_total: Counter,
     /// Connections this reactor currently holds open.
     pub open_connections: AtomicI64,
-    /// Responses this reactor failed to deliver.
+    /// Responses this reactor could not deliver: the connection died (or
+    /// was reclaimed) with bytes still queued — each one is work a worker
+    /// did that no client received.
     pub write_aborted_total: Counter,
     /// Requests this reactor dispatched into the worker pool.
     pub dispatched_total: Counter,
@@ -64,15 +67,8 @@ pub struct ServeMetrics {
     pub reaudit_changed_total: Counter,
     /// Fresh checks whose rediscovery stage validated a new live URL.
     pub rescue_rescued_total: Counter,
-    /// Responses the reactor could not deliver: the connection died (or was
-    /// reclaimed) with bytes still queued — each one is work a worker did
-    /// that no client received.
-    pub write_aborted_total: Counter,
-    /// Connections currently held open by the reactor.
-    pub open_connections: AtomicI64,
-    /// Per-reactor transport counters, one slot per reactor thread. The
-    /// aggregate counters above keep counting across all reactors — existing
-    /// dashboards and the CI greps read those; these add the breakdown.
+    /// Per-reactor transport counters, one slot per reactor thread: the
+    /// only copy of each; the unlabeled aggregates sum them at render time.
     pub reactors: Vec<ReactorMetrics>,
     /// Cumulative latency histogram over handled requests.
     bucket_counts: Vec<Counter>,
@@ -117,8 +113,6 @@ impl ServeMetrics {
             reaudit_links_total: Counter::default(),
             reaudit_changed_total: Counter::default(),
             rescue_rescued_total: Counter::default(),
-            write_aborted_total: Counter::default(),
-            open_connections: AtomicI64::new(0),
             reactors: (0..reactors.max(1)).map(|_| ReactorMetrics::default()).collect(),
             bucket_counts: LATENCY_BUCKETS.iter().map(|_| Counter::default()).collect(),
             latency_sum_nanos: Counter::default(),
@@ -181,6 +175,16 @@ impl ServeMetrics {
 
     pub fn requests_total(&self) -> u64 {
         self.by_endpoint.iter().map(|e| e.count.get()).sum()
+    }
+
+    /// Connections currently held open, across every reactor.
+    pub fn open_connections(&self) -> i64 {
+        let open: i64 = self
+            .reactors
+            .iter()
+            .map(|r| r.open_connections.load(Ordering::Relaxed))
+            .sum();
+        open.max(0)
     }
 
     /// Render everything as Prometheus exposition text. The caller supplies
@@ -255,7 +259,10 @@ impl ServeMetrics {
             "Responses not fully delivered: the connection died with bytes still queued.",
             &[format!(
                 "permadead_serve_write_aborted_total {}",
-                self.write_aborted_total.get()
+                self.reactors
+                    .iter()
+                    .map(|r| r.write_aborted_total.get())
+                    .sum::<u64>()
             )],
         );
         metric(
@@ -264,7 +271,7 @@ impl ServeMetrics {
             "Connections currently held open by the reactor.",
             &[format!(
                 "permadead_serve_open_connections {}",
-                self.open_connections.load(Ordering::Relaxed).max(0)
+                self.open_connections()
             )],
         );
         // the per-reactor breakdown of the transport aggregates above
@@ -770,11 +777,30 @@ mod tests {
         }
     }
 
+    /// The whole boot-time exposition of a two-reactor server, byte for
+    /// byte: every series renders from boot, zeros included, in a stable
+    /// order. Change `testdata/boot_metrics.prom` only with the metric set.
+    #[test]
+    fn boot_exposition_matches_the_pinned_text() {
+        let m = ServeMetrics::with_reactors(2);
+        let text = m.render_prometheus(
+            &CacheStats::default(),
+            &MetricsSnapshot::default(),
+            0,
+            &[],
+            &WatchSnapshot::default(),
+            0,
+        );
+        assert_eq!(text, include_str!("../testdata/boot_metrics.prom"));
+    }
+
     #[test]
     fn reactor_delivery_series_render() {
-        let m = ServeMetrics::new();
-        m.write_aborted_total.add(3);
-        m.open_connections.store(17, Ordering::Relaxed);
+        let m = ServeMetrics::with_reactors(2);
+        m.reactors[0].write_aborted_total.add(1);
+        m.reactors[1].write_aborted_total.add(2);
+        m.reactors[0].open_connections.store(9, Ordering::Relaxed);
+        m.reactors[1].open_connections.store(8, Ordering::Relaxed);
         let text = m.render_prometheus(&CacheStats::default(), &MetricsSnapshot::default(), 0, &[], &WatchSnapshot::default(), 0);
         for needle in [
             "# TYPE permadead_serve_write_aborted_total counter",

@@ -122,8 +122,6 @@ pub struct ServerConfig {
     pub sndbuf: Option<usize>,
     /// Maximum URLs accepted in one `POST /batch` (or `POST /watch`).
     pub max_batch: usize,
-    /// Seconds advertised in `Retry-After` on an admission refusal.
-    pub retry_after_secs: u32,
     /// Enable `/debug/sleep` and `/debug/watch-advance` (load tests exercise
     /// admission control and the watch clock with them).
     pub debug_endpoints: bool,
@@ -144,7 +142,6 @@ impl Default for ServerConfig {
             max_conns: 10_240,
             sndbuf: None,
             max_batch: 256,
-            retry_after_secs: 1,
             debug_endpoints: false,
             reactors: 1,
             watch: WatchConfig::default(),
@@ -257,10 +254,6 @@ impl ServerHandle {
     /// must connect to.
     pub fn addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    pub fn metrics(&self) -> &ServeMetrics {
-        &self.inner.metrics
     }
 
     pub fn service(&self) -> &AuditService {
@@ -534,17 +527,14 @@ fn handle_recheck(inner: &Inner, id: usize, due: SimTime) {
     inner.metrics.reaudit_changed_total.add(outcome.changed as u64);
 }
 
-/// Seconds a refused client should wait before retrying, scaled by how much
-/// work is already queued ahead of it. The configured `retry_after_secs` used
-/// to be advertised verbatim — so every client refused during a burst came
-/// back after the same fixed delay into a queue that had not drained, got
-/// refused again, and synchronized into a retry stampede. Scaling by queue
-/// occupancy spreads the herd: the fuller the queue at refusal time, the
-/// longer the advertised wait, capped at a minute.
+/// Seconds a refused client should wait before retrying: one second per
+/// request already queued ahead of it, plus one, capped at a minute. A
+/// fixed delay would bring every client refused during a burst back at the
+/// same instant into a queue that had not drained, to be refused again in a
+/// synchronized retry stampede; scaling by queue occupancy spreads the herd.
 fn retry_after_secs(inner: &Inner) -> u32 {
-    let base = inner.config.retry_after_secs.max(1);
     let occupied = inner.queue_probe.len() as u32;
-    base.saturating_mul(1 + occupied).min(60)
+    occupied.saturating_add(1).min(60)
 }
 
 /// One event loop's owned state: poll set, listener (taken when the drain
@@ -634,8 +624,7 @@ impl Reactor<'_> {
         // teardown whatever outlived the deadline; closing the fds also
         // evicts them from the poll set, and dropping `tx` (when `self`
         // drops) helps release the workers
-        let abandoned = self.conns.drain().len() as i64;
-        self.inner.metrics.open_connections.fetch_sub(abandoned, Ordering::Relaxed);
+        self.conns.drain();
         self.inner.metrics.reactors[self.idx].open_connections.store(0, Ordering::Relaxed);
     }
 
@@ -666,7 +655,6 @@ impl Reactor<'_> {
             self.conns.remove(slot);
             return;
         }
-        self.inner.metrics.open_connections.fetch_add(1, Ordering::Relaxed);
         let mine = &self.inner.metrics.reactors[self.idx];
         mine.open_connections.fetch_add(1, Ordering::Relaxed);
         mine.accepted_total.incr();
@@ -810,10 +798,7 @@ impl Reactor<'_> {
             let completion = self.inner.reactors[self.idx].completions.lock().pop_front();
             let Some(c) = completion else { break };
             match self.conns.get_gen_mut(c.slot, c.generation) {
-                None => {
-                    self.inner.metrics.write_aborted_total.incr();
-                    self.inner.metrics.reactors[self.idx].write_aborted_total.incr();
-                }
+                None => self.inner.metrics.reactors[self.idx].write_aborted_total.incr(),
                 Some(conn) => {
                     conn.queue_response(c.response.serialize(c.keep_alive), !c.keep_alive);
                     self.drive_write(c.slot);
@@ -849,7 +834,6 @@ impl Reactor<'_> {
                 let _ = self.poll.reregister(fd, Token(slot), Interest::WRITABLE);
             }
             WriteStep::Aborted(_undelivered) => {
-                self.inner.metrics.write_aborted_total.incr();
                 self.inner.metrics.reactors[self.idx].write_aborted_total.incr();
                 if let Some(started) = conn.started.take() {
                     self.inner.metrics.observe_latency(started.elapsed().as_secs_f64());
@@ -861,7 +845,6 @@ impl Reactor<'_> {
 
     fn close_conn(&mut self, slot: usize) {
         if self.conns.remove(slot).is_some() {
-            self.inner.metrics.open_connections.fetch_sub(1, Ordering::Relaxed);
             self.inner.metrics.reactors[self.idx].open_connections.fetch_sub(1, Ordering::Relaxed);
             self.closed_since_pause = true;
         }
@@ -911,7 +894,7 @@ fn handle_healthz(inner: &Inner) -> HttpResponse {
             inner.queue_probe.len(),
             inner.config.workers.max(1),
             inner.reactors.len(),
-            inner.metrics.open_connections.load(Ordering::Relaxed).max(0),
+            inner.metrics.open_connections(),
             watchlist,
         ),
     )

@@ -4,9 +4,8 @@
 //! **Parity contract.** For any URL that appears in the batch `audit`
 //! dataset, `/check` must return the *bit-identical* classification the
 //! batch run produces. The pipeline keys all per-link randomness off the
-//! link's dataset index, so the service rebuilds the same March-style
-//! dataset (same formula as `permadead audit`: 60% of the category,
-//! alphabetical, sample-capped, seed `^ 0xA1`) and replays each URL at its
+//! link's dataset index, so the service rebuilds the same March dataset
+//! as `permadead audit` ([`Dataset::march`]) and replays each URL at its
 //! own index through [`analyze_link`]. URLs tagged on the wiki but outside
 //! the sample get their real provenance and a stable FNV-derived index;
 //! URLs the wiki never saw get synthetic provenance and are still audited
@@ -126,14 +125,11 @@ impl AuditService {
 
     /// Build over an existing scenario (tests reuse a pre-built world).
     pub fn over(scenario: Scenario, cache: CacheConfig) -> AuditService {
-        // exactly the `permadead audit` dataset: 60% of the category,
-        // alphabetical, capped at sample_size, seeded with seed ^ 0xA1
-        let category = scenario.wiki.permanently_dead_category().len();
-        let dataset = Dataset::alphabetical(
+        // exactly the `permadead audit` dataset
+        let dataset = Dataset::march(
             &scenario.wiki,
-            (category * 6 / 10).max(1),
             scenario.config.sample_size,
-            scenario.config.seed ^ 0xA1,
+            scenario.config.seed,
         );
         let index_of: HashMap<String, usize> = dataset
             .entries
@@ -142,7 +138,7 @@ impl AuditService {
             .map(|(i, e)| (e.url.to_string(), i))
             .collect();
         // every IABot-tagged URL wiki-wide, for provenance beyond the sample
-        let all = Dataset::random(&scenario.wiki, usize::MAX, 0);
+        let all = Dataset::all_tagged(&scenario.wiki);
         let extra: HashMap<String, DatasetEntry> = all
             .entries
             .into_iter()
@@ -221,11 +217,6 @@ impl AuditService {
     pub fn with_retry(mut self, retry: RetryPolicy) -> AuditService {
         self.retry = retry;
         self
-    }
-
-    /// The active retry policy.
-    pub fn retry_policy(&self) -> &RetryPolicy {
-        &self.retry
     }
 
     /// Cap the cumulative backoff any single origin may cost us

@@ -13,7 +13,7 @@
 //! request consumed, so a pipelined follow-up request is never swallowed
 //! into the current body.
 
-use std::io::{Read, Write};
+use std::io::Read;
 
 /// Hard caps on what we buffer from a socket.
 pub const MAX_HEADER_BYTES: usize = 16 * 1024;
@@ -271,13 +271,6 @@ impl HttpResponse {
         out.extend_from_slice(b"\r\n");
         out.extend_from_slice(self.body.as_bytes());
         out
-    }
-
-    /// Blocking convenience for synchronous callers (always
-    /// `Connection: close`, matching the one-shot usage).
-    pub fn write_to<W: Write>(&self, stream: &mut W) -> std::io::Result<()> {
-        stream.write_all(&self.serialize(false))?;
-        stream.flush()
     }
 }
 

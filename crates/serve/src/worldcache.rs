@@ -3,11 +3,10 @@
 //! `permadead-sim` deliberately knows nothing about `core`'s datasets or
 //! `worldstore`'s tables, so lowering a generated scenario into a savable
 //! [`World`] lives here, in the lowest crate that depends on all three. The
-//! dataset formulas are exactly the audit/serve ones — march = 60% of the
-//! category, alphabetical, sample-capped, seed `^ 0xA1`; september = random
-//! sample, seed `^ 0xB2`; all-tagged = every IABot-tagged URL — so a
-//! snapshot-backed [`AuditService`](crate::AuditService) answers
-//! bit-identically to a generated one.
+//! three link tables come from the same [`Dataset::march`],
+//! [`Dataset::september`] and [`Dataset::all_tagged`] constructors audit and
+//! serve use, so a snapshot-backed [`AuditService`](crate::AuditService)
+//! answers bit-identically to a generated one.
 //!
 //! [`load_or_generate`] is the `--world-cache` entry point the CLI and the
 //! repro binaries share: hit → decode the snapshot (no wiki replay at all);
@@ -24,19 +23,10 @@ use std::path::{Path, PathBuf};
 /// reduced to the three link tables, and ground truth (`specs`,
 /// `bot_reports`) is dropped — a snapshot answers audits, not calibration.
 pub fn world_from_scenario(scenario: Scenario, scale: &str) -> World {
-    let category = scenario.wiki.permanently_dead_category().len();
-    let march = Dataset::alphabetical(
-        &scenario.wiki,
-        (category * 6 / 10).max(1),
-        scenario.config.sample_size,
-        scenario.config.seed ^ 0xA1,
-    );
-    let september = Dataset::random(
-        &scenario.wiki,
-        scenario.config.sample_size,
-        scenario.config.seed ^ 0xB2,
-    );
-    let all = Dataset::random(&scenario.wiki, usize::MAX, 0);
+    let (sample, seed) = (scenario.config.sample_size, scenario.config.seed);
+    let march = Dataset::march(&scenario.wiki, sample, seed);
+    let september = Dataset::september(&scenario.wiki, sample, seed);
+    let all = Dataset::all_tagged(&scenario.wiki);
 
     let mut interner = Interner::new();
     let march = march.to_table(&mut interner);

@@ -113,12 +113,8 @@ fn origin_retry_budget_exhausts_only_for_the_flapping_host() {
     // pick two dataset URLs on distinct, resolving origins
     let probe = Scenario::generate(world_config());
     let study = probe.config.study_time;
-    let dataset = permadead_core::Dataset::alphabetical(
-        &probe.wiki,
-        (probe.wiki.permanently_dead_category().len() * 6 / 10).max(1),
-        probe.config.sample_size,
-        probe.config.seed ^ 0xA1,
-    );
+    let dataset =
+        permadead_core::Dataset::march(&probe.wiki, probe.config.sample_size, probe.config.seed);
     let mut hosts: Vec<String> = Vec::new();
     for e in &dataset.entries {
         let host = e.url.host().to_string();

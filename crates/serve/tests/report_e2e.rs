@@ -59,12 +59,10 @@ fn watch_flip_updates_the_incremental_report_by_exactly_one_link() {
     // Find a batch-dataset link that answers 200 at study time — the same
     // dataset formula the service builds, so the watched URL resolves to a
     // dataset index and has a memoized finding to maintain.
-    let category = scenario.wiki.permanently_dead_category().len();
-    let dataset = Dataset::alphabetical(
+    let dataset = Dataset::march(
         &scenario.wiki,
-        (category * 6 / 10).max(1),
         scenario.config.sample_size,
-        scenario.config.seed ^ 0xA1,
+        scenario.config.seed,
     );
     let target = dataset
         .entries

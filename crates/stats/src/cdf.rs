@@ -25,10 +25,6 @@ impl Cdf {
         Cdf { sorted: samples }
     }
 
-    pub fn from_counts(counts: impl IntoIterator<Item = usize>) -> Cdf {
-        Cdf::new(counts.into_iter().map(|c| c as f64).collect())
-    }
-
     pub fn len(&self) -> usize {
         self.sorted.len()
     }

@@ -258,14 +258,6 @@ impl Url {
         }
     }
 
-    /// Rebuild with a different host (used in tests and world generation).
-    pub fn with_host(&self, host: &str) -> Url {
-        Url {
-            host: host.to_ascii_lowercase(),
-            ..self.clone()
-        }
-    }
-
     /// The URL without its fragment. Fragments are client-side only and never
     /// affect liveness, so every fetch path strips them first.
     pub fn without_fragment(&self) -> Url {

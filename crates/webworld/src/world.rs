@@ -64,10 +64,6 @@ impl LiveWeb {
         &self.content
     }
 
-    pub fn site_count(&self) -> usize {
-        self.sites.len()
-    }
-
     /// Structural invariant check, for world-generation tests: every page
     /// path forms a valid URL on its host, every site's host is lowercase,
     /// and page IDs are unique per site. Returns the list of violations

@@ -45,10 +45,6 @@ impl WikiStore {
         self.articles.values()
     }
 
-    pub fn articles_mut(&mut self) -> impl Iterator<Item = &mut Article> {
-        self.articles.values_mut()
-    }
-
     /// The tracking category: articles whose current revision contains at
     /// least one `{{dead link}}`-tagged reference, in title order (§2.2).
     pub fn permanently_dead_category(&self) -> Vec<&Article> {
