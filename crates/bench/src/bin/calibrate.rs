@@ -2,19 +2,32 @@
 //! dead population, cross-tabulated with the pipeline's archival classes and
 //! live statuses. Not part of the paper — this is the tool that tunes the
 //! world so the *measured* numbers land near the paper's.
+//!
+//! The link specs and the tagged set are generation ground truth, so this
+//! binary generates its scenario (it never reads `PERMADEAD_WORLD_CACHE`),
+//! takes both out, and then lowers it into the world the study runs over.
 
-use permadead_bench::Repro;
+use permadead_bench::{config_from_env, generate, Repro};
 use permadead_core::ArchivalClass;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 
 fn main() {
-    let repro = Repro::from_env();
+    let (scale, cfg) = config_from_env();
+    let mut scenario = generate(cfg);
+    let specs = std::mem::take(&mut scenario.specs);
+    let spec_for = |url| specs.iter().find(|s| &s.url == url);
+    let ppd: HashSet<String> = scenario
+        .permanently_dead_urls()
+        .iter()
+        .map(|u| u.to_string())
+        .collect();
+    let repro = Repro::over(permadead_serve::world_from_scenario(scenario, &scale));
     let study = repro.september_study();
 
     let mut by_fate: BTreeMap<String, (usize, usize, usize, usize)> = BTreeMap::new();
     let mut unmatched = 0usize;
     for f in &study.findings {
-        let Some(spec) = repro.scenario.spec_for(&f.entry.url) else {
+        let Some(spec) = spec_for(&f.entry.url) else {
             unmatched += 1;
             continue;
         };
@@ -39,20 +52,12 @@ fn main() {
 
     // how many generated rot links of each fate ended up tagged at all
     let mut gen_counts: BTreeMap<String, usize> = BTreeMap::new();
-    for s in &repro.scenario.specs {
+    for s in &specs {
         *gen_counts.entry(format!("{:?}", s.fate)).or_default() += 1;
     }
     println!("\ngenerated rot links per fate (for tag-rate comparison):");
-    let ppd: std::collections::HashSet<String> = repro
-        .scenario
-        .permanently_dead_urls()
-        .iter()
-        .map(|u| u.to_string())
-        .collect();
     for (fate, count) in &gen_counts {
-        let tagged = repro
-            .scenario
-            .specs
+        let tagged = specs
             .iter()
             .filter(|s| format!("{:?}", s.fate) == *fate && ppd.contains(&s.url.to_string()))
             .count();
@@ -64,7 +69,7 @@ fn main() {
 
     let mut fate_fig4: BTreeMap<(String, String), usize> = BTreeMap::new();
     for f in &study.findings {
-        if let Some(spec) = repro.scenario.spec_for(&f.entry.url) {
+        if let Some(spec) = spec_for(&f.entry.url) {
             *fate_fig4
                 .entry((format!("{:?}", spec.fate), f.live.status.label().to_string()))
                 .or_default() += 1;

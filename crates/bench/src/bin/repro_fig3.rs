@@ -10,7 +10,7 @@ use permadead_stats::{render_cdf, Cdf};
 
 fn main() {
     let repro = Repro::from_env();
-    let ranks = &repro.scenario.web.ranks;
+    let ranks = &repro.world.web.ranks;
 
     for ds in [&repro.march, &repro.september] {
         println!("=== Figure 3, dataset '{}' ({} URLs) ===\n", ds.label, ds.len());

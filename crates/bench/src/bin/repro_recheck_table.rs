@@ -21,9 +21,9 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(45);
     let jobs = jobs_from_env();
-    let seed = repro.scenario.config.seed;
-    let start = repro.scenario.config.study_time;
-    let web = &repro.scenario.web;
+    let seed = repro.world.meta.seed;
+    let start = repro.world.meta.study_time;
+    let web = &repro.world.web;
 
     let cadences = ["fixed:1", "fixed:3", "fixed:7", "aging:1", "jitter:1"];
     let strike_ladders = [2u32, 3, 5];

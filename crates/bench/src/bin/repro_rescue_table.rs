@@ -4,9 +4,10 @@
 //! rescue stage armed — and prints how the dead population splits across
 //! the rescue ladder: §4.1 archived-200 copies, §4.2 valid redirect chains,
 //! and finally content rediscovery against the title+shingle index. The
-//! ceiling rows come from generation ground truth: how many dead links are
-//! genuinely live at another URL today, and how many of those left no
-//! pre-marking content snapshot for a signature to be built from.
+//! ceiling rows come from ground truth, the live web's page path history:
+//! how many dead links are genuinely live at another URL today, and how
+//! many of those left no pre-marking content snapshot for a signature to
+//! be built from.
 //!
 //! The whole table is a pure function of `(seed, scale)` — the index build
 //! is bit-identical for every `PERMADEAD_JOBS` — so CI diffs the
@@ -17,8 +18,7 @@ use permadead_core::ArchivalClass;
 use std::sync::Arc;
 
 fn main() {
-    let repro = Repro::from_env();
-    let scenario = &repro.scenario;
+    let mut repro = Repro::from_env();
 
     let t0 = std::time::Instant::now();
     let index = repro.rescue_index();
@@ -29,6 +29,7 @@ fn main() {
     );
     let index = Arc::new(index);
 
+    let world = &repro.world;
     let base = repro.march_study();
     let rescued = repro.march_study_with_rescue(index.clone());
 
@@ -71,15 +72,15 @@ fn main() {
         let moved = {
             let host = f.entry.url.host();
             let pq = f.entry.url.path_and_query();
-            scenario
+            world
                 .web
                 .site_by_host(host, f.entry.added_at)
-                .or_else(|| scenario.web.site_by_host(host, scenario.config.study_time))
+                .or_else(|| world.web.site_by_host(host, world.meta.study_time))
                 .and_then(|site| {
                     site.pages().iter().find(|p| p.all_paths().contains(&pq.as_str())).map(|p| {
-                        let cur = p.current_path(scenario.config.study_time);
+                        let cur = p.current_path(world.meta.study_time);
                         cur != pq
-                            && p.view_at(cur, scenario.config.study_time)
+                            && p.view_at(cur, world.meta.study_time)
                                 == Some(permadead_web::page::PathView::Live)
                     })
                 })
@@ -87,7 +88,7 @@ fn main() {
         };
         if moved {
             live_elsewhere += 1;
-            let has_fp = scenario.archive.snapshots_of(&f.entry.url).into_iter().any(|s| {
+            let has_fp = world.archive.snapshots_of(&f.entry.url).into_iter().any(|s| {
                 s.captured < f.entry.marked_at
                     && s.body_class == permadead_archive::BodyClass::Content
             });

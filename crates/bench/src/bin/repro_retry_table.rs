@@ -16,9 +16,9 @@ fn main() {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(5);
-    let seed = repro.scenario.config.seed ^ 0x5EC41;
+    let seed = repro.world.meta.seed ^ 0x5EC41;
     let rows = retry_counterfactual(
-        &repro.scenario.archive,
+        &repro.world.archive,
         &repro.march,
         IABOT_TIMEOUT_MS,
         seed,

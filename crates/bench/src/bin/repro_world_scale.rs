@@ -13,18 +13,22 @@
 //! closes, and the `world/load` line the live heap after the load and its
 //! peak during it, both counted from the load's start. The rescue postings,
 //! which a loaded index builds on its first query, are forced on their own
-//! `world/rescue_postings` line. Honours `PERMADEAD_SEED` / `PERMADEAD_SCALE`
-//! / `PERMADEAD_JOBS`; the snapshot goes to `PERMADEAD_WORLD_CACHE` when
-//! set, a temp directory otherwise.
+//! `world/rescue_postings` line. The full study, the incremental build and
+//! the single-flip re-audit are each timed over [`ROUNDS`] rounds and
+//! reported as the median, with `speedup_vs_full` taken from the medians.
+//! Honours `PERMADEAD_SEED` / `PERMADEAD_SCALE` / `PERMADEAD_JOBS`; the
+//! snapshot goes to `PERMADEAD_WORLD_CACHE` when set, a temp directory
+//! otherwise.
 //!
 //! The run also asserts the reproduction's correctness contract along the
 //! way: the loaded world's study report must be byte-identical to the
 //! incremental engine's maintained report.
 
-use permadead_bench::{config_from_env, jobs_from_env, persist_bench_results};
-use permadead_core::{IncrementalAudit, Study, StudyOptions};
+use permadead_bench::{config_from_env, jobs_from_env, persist_bench_results, Repro};
+use permadead_core::{IncrementalAudit, StudyOptions};
 use permadead_serve::worldcache;
 use permadead_sim::Scenario;
+use permadead_stats::percentile;
 use permadead_worldstore::World;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
@@ -79,6 +83,22 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static HEAP: Counting = Counting;
 
+/// Rounds each steady-state measurement is timed over.
+const ROUNDS: usize = 7;
+
+/// Run `op` [`ROUNDS`] times: the median wall-clock milliseconds of a round,
+/// and the last round's output.
+fn timed<T>(mut op: impl FnMut() -> T) -> (f64, T) {
+    let mut ms = Vec::with_capacity(ROUNDS);
+    let mut out = None;
+    for _ in 0..ROUNDS {
+        let t0 = Instant::now();
+        out = Some(op());
+        ms.push(t0.elapsed().as_secs_f64() * 1e3);
+    }
+    (percentile(&ms, 50.0), out.expect("at least one round"))
+}
+
 fn main() {
     let (scale, cfg) = config_from_env();
     let jobs = jobs_from_env();
@@ -90,9 +110,9 @@ fn main() {
     let scenario = Scenario::generate(cfg);
     let generate_ms = t0.elapsed().as_secs_f64() * 1e3;
 
-    // 2. lower + save
+    // 2. lower (with the rediscovery index every snapshot carries) + save
     let t0 = Instant::now();
-    let world = worldcache::world_from_scenario(scenario, &scale);
+    let world = worldcache::world_for_snapshot(scenario, &scale);
     let lower_ms = t0.elapsed().as_secs_f64() * 1e3;
     let dir = std::env::var_os("PERMADEAD_WORLD_CACHE")
         .map(std::path::PathBuf::from)
@@ -131,47 +151,40 @@ fn main() {
     }
     let postings_ms = t0.elapsed().as_secs_f64() * 1e3;
     let postings_heap = LIVE.load(Relaxed).saturating_sub(heap0);
-    let repro = permadead_bench::WorldRepro::over(world);
+    let repro = Repro::over(world);
     let links = repro.march.len();
 
     // 4. full study over the loaded world
-    let t0 = Instant::now();
-    let study = Study::run_with(
-        &repro.world.web,
-        &repro.world.archive,
-        &repro.march,
-        repro.world.meta.study_time,
-        StudyOptions::with_jobs(jobs),
-    );
-    let full_study_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let (full_study_ms, study) = timed(|| repro.march_study());
 
-    // 5. incremental engine: build once, then re-audit one link at a time —
-    // the serve watch-pump's steady-state operation
-    let t0 = Instant::now();
-    let mut audit = IncrementalAudit::build(
-        &repro.world.web,
-        &repro.world.archive,
-        &repro.march,
-        repro.world.meta.study_time,
-        StudyOptions::default(),
-    );
-    let build_ms = t0.elapsed().as_secs_f64() * 1e3;
+    // 5. incremental engine: build, then re-audit one link at a time — the
+    // serve watch-pump's steady-state operation
+    let (build_ms, mut audit) = timed(|| {
+        IncrementalAudit::build(
+            &repro.world.web,
+            &repro.world.archive,
+            &repro.march,
+            repro.world.meta.study_time,
+            StudyOptions::default(),
+        )
+    });
     assert_eq!(
         audit.report(),
         study.report(),
         "incremental report must match the from-scratch study"
     );
     let flips = links.min(64);
-    let t0 = Instant::now();
-    for i in 0..flips {
-        audit.reaudit_indices(
-            &repro.world.web,
-            &repro.world.archive,
-            &[i],
-            repro.world.meta.study_time,
-        );
-    }
-    let single_flip_ms = t0.elapsed().as_secs_f64() * 1e3 / flips as f64;
+    let (flips_ms, ()) = timed(|| {
+        for i in 0..flips {
+            audit.reaudit_indices(
+                &repro.world.web,
+                &repro.world.archive,
+                &[i],
+                repro.world.meta.study_time,
+            );
+        }
+    });
+    let single_flip_ms = flips_ms / flips as f64;
 
     let load_speedup = generate_ms / load_ms;
     let flip_speedup = full_study_ms / single_flip_ms;
@@ -193,9 +206,9 @@ fn main() {
          {{\"bench\":\"world/load\",\"scale\":\"{scale}\",\"mean_ms\":{load_ms:.3},\"speedup_vs_generate\":{load_speedup:.1},\"heap_bytes\":{load_heap},\"heap_peak_bytes\":{load_peak}}}\n\
          {section_lines}\
          {{\"bench\":\"world/rescue_postings\",\"scale\":\"{scale}\",\"mean_ms\":{postings_ms:.3},\"heap_bytes\":{postings_heap}}}\n\
-         {{\"bench\":\"world/full_study\",\"scale\":\"{scale}\",\"jobs\":{jobs},\"links\":{links},\"mean_ms\":{full_study_ms:.3}}}\n\
-         {{\"bench\":\"world/incremental_build\",\"scale\":\"{scale}\",\"mean_ms\":{build_ms:.3}}}\n\
-         {{\"bench\":\"world/single_flip_reaudit\",\"scale\":\"{scale}\",\"flips\":{flips},\"mean_ms\":{single_flip_ms:.4},\"speedup_vs_full\":{flip_speedup:.1}}}\n"
+         {{\"bench\":\"world/full_study\",\"scale\":\"{scale}\",\"jobs\":{jobs},\"links\":{links},\"rounds\":{ROUNDS},\"median_ms\":{full_study_ms:.3}}}\n\
+         {{\"bench\":\"world/incremental_build\",\"scale\":\"{scale}\",\"rounds\":{ROUNDS},\"median_ms\":{build_ms:.3}}}\n\
+         {{\"bench\":\"world/single_flip_reaudit\",\"scale\":\"{scale}\",\"flips\":{flips},\"rounds\":{ROUNDS},\"median_ms\":{single_flip_ms:.4},\"speedup_vs_full\":{flip_speedup:.1}}}\n"
     );
     print!("{lines}");
     match persist_bench_results("world", &lines) {

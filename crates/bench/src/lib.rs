@@ -1,10 +1,15 @@
 //! Shared harness for the reproduction binaries and `bench-loadgen`.
 //!
 //! Every `repro_*` binary regenerates one figure or table from the paper:
-//! build the scenario, collect the dataset(s), run the pipeline, print the
-//! series. All of them go through [`harness::Repro`] so that the same world
-//! (same seed, same scale) backs every figure — exactly like the paper's
-//! single March dataset backs all of its analyses.
+//! obtain the world, collect the dataset(s), run the pipeline, print the
+//! series. All of them go through [`harness::Repro`], one
+//! [`World`](permadead_worldstore::World) with its two datasets, so that the
+//! same world (same seed, same scale) backs every figure — exactly like the
+//! paper's single March dataset backs all of its analyses. `repro_sec41`
+//! and `calibrate` read generation ground truth (bot reports, the wiki, link
+//! specs) from their scenario first and then lower it into the same
+//! `Repro`; `repro_ablations` varies the generation config and keeps its
+//! scenarios.
 //!
 //! Environment knobs (read once, at harness construction):
 //! - `PERMADEAD_SEED` — world seed (default 42);
@@ -12,14 +17,13 @@
 //!   ~18k-rot-link world; takes a few minutes);
 //! - `PERMADEAD_JOBS` — pipeline worker threads (default 1, 0 = all cores;
 //!   findings are identical for every value);
-//! - `PERMADEAD_WORLD_CACHE` — a directory of world snapshots; binaries
-//!   that only need the audit surface (e.g. `repro_summary`) load the world
-//!   from it instead of regenerating, printing the cache hit/miss and load
-//!   time.
+//! - `PERMADEAD_WORLD_CACHE` — a directory of world snapshots; every binary
+//!   built on [`Repro::from_env`] loads the world from it instead of
+//!   regenerating, printing the cache hit/miss and load time.
 
 pub mod harness;
 
-pub use harness::{config_from_env, jobs_from_env, Repro, WorldRepro};
+pub use harness::{config_from_env, generate, jobs_from_env, Repro};
 
 /// Persist a machine-readable benchmark summary under `results/`.
 ///

@@ -23,10 +23,12 @@ mod export;
 
 use args::Args;
 use permadead_core::{Dataset, Study, StudyOptions};
+use permadead_rescue::RescueIndex;
 use permadead_sim::{Scenario, ScenarioConfig};
 use permadead_stats::{percentile, render_bar_chart, render_cdf, Cdf};
 use permadead_worldstore::World;
 use std::process::ExitCode;
+use std::sync::Arc;
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -131,13 +133,13 @@ fn print_help() {
     );
 }
 
-fn scenario_from(args: &Args) -> Result<Scenario, Box<dyn std::error::Error>> {
-    let (_, cfg) = config_from(args)?;
+/// Generate the scenario for `config`, announcing it on stderr.
+fn generate(config: ScenarioConfig) -> Scenario {
     eprintln!(
         "[permadead] generating world (seed {}, {} rot links)…",
-        cfg.seed, cfg.rot_links
+        config.seed, config.rot_links
     );
-    Ok(Scenario::generate(cfg))
+    Scenario::generate(config)
 }
 
 /// `(scale label, config)` from `--seed` / `--scale` / `--sample`.
@@ -152,93 +154,36 @@ fn config_from(args: &Args) -> Result<(&'static str, ScenarioConfig), Box<dyn st
     Ok((scale, cfg))
 }
 
-/// The world a command runs over: freshly generated, or decoded from a
-/// `--world-cache` snapshot. The worldstore determinism contract makes the
-/// two answer every audit question identically; only generation ground
-/// truth (wiki articles, bot reports) is missing from a snapshot, which is
-/// why `bots` keeps its own [`scenario_from`] path.
-enum CliWorld {
-    Generated(Box<Scenario>),
-    Snapshot(Box<World>),
-}
-
-impl CliWorld {
-    fn web(&self) -> &permadead_web::LiveWeb {
-        match self {
-            CliWorld::Generated(s) => &s.web,
-            CliWorld::Snapshot(w) => &w.web,
-        }
-    }
-
-    fn archive(&self) -> &permadead_archive::ArchiveStore {
-        match self {
-            CliWorld::Generated(s) => &s.archive,
-            CliWorld::Snapshot(w) => &w.archive,
-        }
-    }
-
-    fn study_time(&self) -> permadead_net::SimTime {
-        match self {
-            CliWorld::Generated(s) => s.config.study_time,
-            CliWorld::Snapshot(w) => w.meta.study_time,
-        }
-    }
-
-    /// The batch dataset `audit`, `watch`, and `serve` share: recomputed
-    /// from the wiki for a generated world, decoded from the interned march
-    /// table for a snapshot.
-    fn march_dataset(&self) -> Dataset {
-        match self {
-            CliWorld::Generated(s) => Dataset::march(&s.wiki, s.config.sample_size, s.config.seed),
-            CliWorld::Snapshot(w) => Dataset::from_table(&w.march, &w.interner),
-        }
-    }
-
-    /// The rediscovery index when `rediscovery` is on: moved out of the
-    /// snapshot when it carries one, otherwise built from the live web. The
-    /// sharded build is bit-identical for every worker count, so the two
-    /// paths agree. The snapshot's index is taken out either way, so with
-    /// rediscovery off nothing keeps it in memory and its postings are
-    /// never built; with rediscovery on they are built here, before the
-    /// study runs or the server listens, so no query pays for them.
-    fn rescue_index(
-        &mut self,
-        rediscovery: bool,
-        jobs: usize,
-    ) -> Option<std::sync::Arc<permadead_rescue::RescueIndex>> {
-        let decoded = match self {
-            CliWorld::Snapshot(w) => w.rescue.take(),
-            CliWorld::Generated(_) => None,
-        };
-        if !rediscovery {
-            return None;
-        }
-        if let Some(index) = decoded {
-            index.ensure_postings();
-            return Some(std::sync::Arc::new(index));
-        }
-        let jobs = match jobs {
-            0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-            n => n,
-        };
-        Some(std::sync::Arc::new(permadead_rescue::RescueIndex::build(
-            self.web(),
-            self.study_time(),
-            jobs,
-        )))
-    }
-}
-
-/// Build the command's world, honouring `--world-cache DIR`.
-fn world_from(args: &Args) -> Result<CliWorld, Box<dyn std::error::Error>> {
-    let Some(dir) = args.get("world-cache") else {
-        return Ok(CliWorld::Generated(Box::new(scenario_from(args)?)));
-    };
+/// The world a command runs over: decoded from the `--world-cache DIR`
+/// snapshot (generated and saved there on a miss), or else generated and
+/// lowered in memory. The two answer every audit question identically;
+/// only generation ground truth (wiki articles, bot reports) is missing
+/// from a world, which is why `bots` keeps its own [`generate`] call.
+fn world_from(args: &Args) -> Result<World, Box<dyn std::error::Error>> {
     let (scale, cfg) = config_from(args)?;
+    let Some(dir) = args.get("world-cache") else {
+        return Ok(permadead_serve::world_from_scenario(generate(cfg), scale));
+    };
     let (world, outcome) =
         permadead_serve::load_or_generate(std::path::Path::new(dir), cfg, scale)?;
     eprintln!("[permadead] {}", outcome.describe());
-    Ok(CliWorld::Snapshot(Box::new(world)))
+    Ok(world)
+}
+
+/// The rediscovery index when `rediscovery` is on: moved out of the world
+/// when it carries one (a snapshot's), otherwise built from the live web.
+/// The world's index is taken out either way, so with rediscovery off
+/// nothing keeps it in memory and its postings are never built; with
+/// rediscovery on they are built here, before the study runs or the server
+/// listens, so no query pays for them.
+fn rescue_index(world: &mut World, rediscovery: bool, jobs: usize) -> Option<Arc<RescueIndex>> {
+    if !rediscovery {
+        world.rescue = None;
+        return None;
+    }
+    let index = permadead_serve::take_rescue_index(world, jobs);
+    index.ensure_postings();
+    Some(Arc::new(index))
 }
 
 /// Retry policy from `--retries` / `--retry-budget-ms`. One attempt — the
@@ -298,16 +243,16 @@ fn rediscovery_from(args: &Args) -> Result<bool, Box<dyn std::error::Error>> {
 }
 
 fn march_study(
-    world: &CliWorld,
+    world: &World,
     jobs: usize,
     retry: permadead_net::RetryPolicy,
-    rescue: Option<std::sync::Arc<permadead_rescue::RescueIndex>>,
+    rescue: Option<Arc<RescueIndex>>,
 ) -> Study {
     Study::run_with(
-        world.web(),
-        world.archive(),
-        &world.march_dataset(),
-        world.study_time(),
+        &world.web,
+        &world.archive,
+        &Dataset::from_table(&world.march, &world.interner),
+        world.meta.study_time,
         StudyOptions::with_jobs(jobs).with_retry(retry).with_rescue(rescue),
     )
 }
@@ -317,17 +262,17 @@ fn cmd_audit(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     let rediscovery = rediscovery_from(args)?;
     let mut world = world_from(args)?;
     let jobs = args.get_usize("jobs", 1)?;
-    let rescue = world.rescue_index(rediscovery, jobs);
+    let rescue = rescue_index(&mut world, rediscovery, jobs);
     if let Some(index) = &rescue {
         eprintln!("[permadead] rediscovery index ready: {} pages", index.len());
     }
     // snapshot the cost counters so we report what the *pipeline* spends,
     // not what world generation (or snapshot decoding) spent
-    let web_before = world.web().metrics.snapshot();
-    let archive_lookups_before = world.archive().lookups.get();
-    let archive_rows_before = world.archive().rows_scanned.get();
+    let web_before = world.web.metrics.snapshot();
+    let archive_lookups_before = world.archive.lookups.get();
+    let archive_rows_before = world.archive.rows_scanned.get();
     let study = march_study(&world, jobs, retry, rescue);
-    let web_cost = world.web().metrics.snapshot().diff(&web_before);
+    let web_cost = world.web.metrics.snapshot().diff(&web_before);
     println!("{}", render_bar_chart("Figure 4 — live status today", &study.live_breakdown()));
     let report = study.report();
     println!("{}", report.render_comparison());
@@ -335,8 +280,8 @@ fn cmd_audit(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "measurement cost: live web {}; archive index: {} scans touching {} rows",
         web_cost.summary(),
-        world.archive().lookups.get() - archive_lookups_before,
-        world.archive().rows_scanned.get() - archive_rows_before,
+        world.archive.lookups.get() - archive_lookups_before,
+        world.archive.rows_scanned.get() - archive_rows_before,
     );
     if let Some(path) = args.get("csv") {
         std::fs::write(path, export::study_to_csv(&study))?;
@@ -347,18 +292,15 @@ fn cmd_audit(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         eprintln!("[permadead] wrote {} stage rows to {path}", study.stage_stats.len());
     }
     if let Some(path) = args.get("cdx") {
-        std::fs::write(path, permadead_archive::to_cdx_string(world.archive()))?;
-        eprintln!(
-            "[permadead] wrote {} snapshots to {path}",
-            world.archive().len()
-        );
+        std::fs::write(path, permadead_archive::to_cdx_string(&world.archive))?;
+        eprintln!("[permadead] wrote {} snapshots to {path}", world.archive.len());
     }
     if args.get("retry-table").is_some() {
         let max = u32::try_from(args.get_u64("retry-table", 5)?)
             .map_err(|_| "flag --retry-table must fit in 32 bits")?;
-        let ds = world.march_dataset();
+        let ds = Dataset::from_table(&world.march, &world.interner);
         let rows = permadead_core::retry_counterfactual(
-            world.archive(),
+            &world.archive,
             &ds,
             permadead_core::IABOT_TIMEOUT_MS,
             args.get_u64("seed", 42)? ^ 0x5EC41,
@@ -435,7 +377,7 @@ fn cmd_recommend(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     let world = world_from(args)?;
     let limit = args.get_usize("limit", 10)?;
     let study = march_study(&world, args.get_usize("jobs", 1)?, retry_policy_from(args)?, None);
-    let recs = permadead_core::recommendations(&study, world.archive());
+    let recs = permadead_core::recommendations(&study, &world.archive);
     println!(
         "{} tagged links analyzed; {} actionable recommendations:\n",
         study.len(),
@@ -505,7 +447,7 @@ fn cmd_serve(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         ..config
     };
     let mut world = world_from(args)?;
-    let rescue = world.rescue_index(rediscovery, config.workers);
+    let rescue = rescue_index(&mut world, rediscovery, config.workers);
     if let Some(index) = &rescue {
         eprintln!("[permadead] rediscovery index ready: {} pages", index.len());
     }
@@ -518,11 +460,8 @@ fn cmd_serve(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         cache.shards,
         retry.max_attempts,
     );
-    let service = match world {
-        CliWorld::Generated(scenario) => permadead_serve::AuditService::over(*scenario, cache),
-        CliWorld::Snapshot(w) => permadead_serve::AuditService::from_world(*w, cache),
-    }
-    .with_retry(retry)
+    let service = permadead_serve::AuditService::from_world(world, cache)
+        .with_retry(retry)
     .with_origin_retry_budget_ms(origin_budget_ms)
     .with_rescue(rescue);
     let handle = permadead_serve::start(service, config)?;
@@ -563,19 +502,19 @@ fn cmd_watch(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     let retry = retry_policy_from(args)?;
     let rediscovery = rediscovery_from(args)?;
     let mut world = world_from(args)?;
-    let rescue = world.rescue_index(rediscovery, jobs);
-    let start = world.study_time();
+    let rescue = rescue_index(&mut world, rediscovery, jobs);
+    let start = world.meta.study_time;
 
     let mut sched = Scheduler::new(SchedulerConfig {
         policy,
         cadence,
         host_budget_per_day: host_budget,
     });
-    for entry in &world.march_dataset().entries {
+    for entry in &Dataset::from_table(&world.march, &world.interner).entries {
         sched.watch_staggered(entry.url.clone(), start);
     }
     eprintln!("[permadead] watching {} links for {days} simulated days…", sched.len());
-    let web = world.web();
+    let web = &world.web;
     let timeline = permadead_sched::run_days(&mut sched, start, days, jobs, |url, at| {
         permadead_core::live_check_with_retry(web, url, at, &retry)
             .0
@@ -605,7 +544,7 @@ fn cmd_watch(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
 }
 
 fn cmd_bots(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
-    let scenario = scenario_from(args)?;
+    let scenario = generate(config_from(args)?.1);
     for (t, report) in &scenario.bot_reports {
         println!("sweep {}: {report}", t.date());
     }
@@ -629,11 +568,10 @@ fn cmd_bots(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
 mod tests {
     use super::*;
     use permadead_net::SimTime;
-    use permadead_rescue::RescueIndex;
     use permadead_worldstore::WorldMeta;
 
-    /// A snapshot-backed world whose index is as `World::load` leaves it.
-    fn snapshot_world() -> CliWorld {
+    /// A world whose index is as `World::load` leaves it.
+    fn snapshot_world() -> World {
         let meta = WorldMeta {
             seed: 1,
             scale: "unit".into(),
@@ -643,7 +581,7 @@ mod tests {
             random_sample_time: SimTime(0),
             content_seed: 1,
         };
-        let world = World::from_parts(
+        World::from_parts(
             meta,
             permadead_web::LiveWeb::new(1),
             permadead_archive::ArchiveStore::new(),
@@ -651,19 +589,17 @@ mod tests {
             ("september", &[]),
             ("all", &[]),
         )
-        .with_rescue(RescueIndex::from_entries_lazy(Vec::new()));
-        CliWorld::Snapshot(Box::new(world))
+        .with_rescue(RescueIndex::from_entries_lazy(Vec::new()))
     }
 
     #[test]
     fn a_snapshot_index_is_built_before_use_or_dropped_unbuilt() {
         let mut world = snapshot_world();
-        let index = world.rescue_index(true, 1).expect("rediscovery on keeps the index");
+        let index = rescue_index(&mut world, true, 1).expect("rediscovery on keeps the index");
         assert!(index.postings_built(), "no query pays for the postings build");
 
         let mut world = snapshot_world();
-        assert!(world.rescue_index(false, 1).is_none());
-        let CliWorld::Snapshot(w) = world else { unreachable!("built as a snapshot") };
-        assert!(w.rescue.is_none(), "rediscovery off keeps nothing");
+        assert!(rescue_index(&mut world, false, 1).is_none());
+        assert!(world.rescue.is_none(), "rediscovery off keeps nothing");
     }
 }

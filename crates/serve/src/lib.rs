@@ -22,8 +22,8 @@
 //! - an incremental re-audit engine fed by the scheduler's dirty set: one
 //!   flipped watched link re-runs one link, and `GET /report` serves the
 //!   maintained study aggregate ([`server`]);
-//! - scenario → world-snapshot composition and the on-disk world cache
-//!   behind `--world-cache` ([`worldcache`]).
+//! - scenario → world lowering and the on-disk world cache behind
+//!   `--world-cache` ([`worldcache`]).
 //!
 //! ```no_run
 //! use permadead_serve::{start, AuditService, CacheConfig, ServerConfig};
@@ -49,4 +49,6 @@ pub use metrics::ServeMetrics;
 pub use origin::OriginLedger;
 pub use server::{start, ServerConfig, ServerHandle, WatchConfig};
 pub use service::{AuditService, CheckOutcome, Provenance};
-pub use worldcache::{load_or_generate, world_from_scenario, WorldCacheOutcome};
+pub use worldcache::{
+    load_or_generate, take_rescue_index, world_for_snapshot, world_from_scenario, WorldCacheOutcome,
+};

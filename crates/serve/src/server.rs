@@ -917,21 +917,34 @@ fn handle_check(inner: &Inner, req: &HttpRequest) -> HttpResponse {
     let Some(url) = query_param(req.query.as_deref(), "url") else {
         return HttpResponse::error(400, "missing url parameter");
     };
-    match inner.service.check(&url, inner.now_sim()) {
-        Ok((outcome, stats)) => {
-            if let Some(stats) = stats {
-                inner.metrics.merge_stage_stats(&stats);
-            }
-            if outcome.rediscovered {
-                inner.metrics.rescue_rescued_total.incr();
-            }
-            HttpResponse::json(200, outcome.body)
-        }
+    match check_url(inner, &url, inner.now_sim()) {
+        Ok(body) => HttpResponse::json(200, body),
         Err(msg) => HttpResponse::error(400, &msg),
     }
 }
 
-fn handle_batch(inner: &Inner, req: &HttpRequest) -> HttpResponse {
+/// Audit one URL for `/check` or `/batch`, folding a fresh analysis's stage
+/// stats and any rediscovery rescue into the metrics. The response body, or
+/// why the URL could not be audited.
+fn check_url(inner: &Inner, url: &str, now: SimTime) -> Result<String, String> {
+    let (outcome, stats) = inner.service.check(url, now)?;
+    if let Some(stats) = stats {
+        inner.metrics.merge_stage_stats(&stats);
+    }
+    if outcome.rediscovered {
+        inner.metrics.rescue_rescued_total.incr();
+    }
+    Ok(outcome.body)
+}
+
+/// The trimmed, non-empty lines of a `POST /batch` or `POST /watch` body;
+/// a 400 when there are none and a 413 over `max_batch`, with `what`
+/// naming the request in the message.
+fn url_lines<'a>(
+    inner: &Inner,
+    req: &'a HttpRequest,
+    what: &str,
+) -> Result<Vec<&'a str>, HttpResponse> {
     let urls: Vec<&str> = req
         .body
         .lines()
@@ -939,35 +952,31 @@ fn handle_batch(inner: &Inner, req: &HttpRequest) -> HttpResponse {
         .filter(|l| !l.is_empty())
         .collect();
     if urls.is_empty() {
-        return HttpResponse::error(400, "empty batch");
+        return Err(HttpResponse::error(400, &format!("empty {what}")));
     }
     if urls.len() > inner.config.max_batch {
-        return HttpResponse::error(
+        return Err(HttpResponse::error(
             413,
-            &format!("batch of {} exceeds limit {}", urls.len(), inner.config.max_batch),
-        );
+            &format!("{what} of {} exceeds limit {}", urls.len(), inner.config.max_batch),
+        ));
     }
+    Ok(urls)
+}
+
+fn handle_batch(inner: &Inner, req: &HttpRequest) -> HttpResponse {
+    let urls = match url_lines(inner, req, "batch") {
+        Ok(urls) => urls,
+        Err(response) => return response,
+    };
     let now = inner.now_sim();
-    let mut items = Vec::with_capacity(urls.len());
-    for url in urls {
-        match inner.service.check(url, now) {
-            Ok((outcome, stats)) => {
-                if let Some(stats) = stats {
-                    inner.metrics.merge_stage_stats(&stats);
-                }
-                if outcome.rediscovered {
-                    inner.metrics.rescue_rescued_total.incr();
-                }
-                items.push(outcome.body);
-            }
-            Err(msg) => items.push(
-                crate::json::Object::new()
-                    .str("url", url)
-                    .str("error", &msg)
-                    .render(),
-            ),
-        }
-    }
+    let items: Vec<String> = urls
+        .into_iter()
+        .map(|url| {
+            check_url(inner, url, now).unwrap_or_else(|msg| {
+                crate::json::Object::new().str("url", url).str("error", &msg).render()
+            })
+        })
+        .collect();
     HttpResponse::json(200, format!("{{\"results\":[{}]}}", items.join(",")))
 }
 
@@ -976,21 +985,10 @@ fn handle_batch(inner: &Inner, req: &HttpRequest) -> HttpResponse {
 /// due immediately (at the current watch clock) and the cadence policy
 /// takes over from there.
 fn handle_watch(inner: &Inner, req: &HttpRequest) -> HttpResponse {
-    let urls: Vec<&str> = req
-        .body
-        .lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty())
-        .collect();
-    if urls.is_empty() {
-        return HttpResponse::error(400, "empty watch request");
-    }
-    if urls.len() > inner.config.max_batch {
-        return HttpResponse::error(
-            413,
-            &format!("watch batch of {} exceeds limit {}", urls.len(), inner.config.max_batch),
-        );
-    }
+    let urls = match url_lines(inner, req, "watch batch") {
+        Ok(urls) => urls,
+        Err(response) => return response,
+    };
     let now = inner.watch_now();
     let mut registered = 0usize;
     let mut invalid = 0usize;

@@ -4,17 +4,17 @@
 //! **Parity contract.** For any URL that appears in the batch `audit`
 //! dataset, `/check` must return the *bit-identical* classification the
 //! batch run produces. The pipeline keys all per-link randomness off the
-//! link's dataset index, so the service rebuilds the same March dataset
-//! as `permadead audit` ([`Dataset::march`]) and replays each URL at its
-//! own index through [`analyze_link`]. URLs tagged on the wiki but outside
-//! the sample get their real provenance and a stable FNV-derived index;
-//! URLs the wiki never saw get synthetic provenance and are still audited
-//! against the live (simulated) web and archive.
+//! link's dataset index, so the service decodes the same March dataset as
+//! `permadead audit` from the world's march table
+//! ([`Dataset::from_table`]) and replays each URL at its own index through
+//! [`analyze_link`]. URLs tagged on the wiki but outside the sample get
+//! their real provenance (the world's all-tagged table) and a stable
+//! FNV-derived index; URLs the wiki never saw get synthetic provenance and
+//! are still audited against the live (simulated) web and archive.
 
 use crate::cache::{CacheConfig, CacheStats, ShardedCache};
 use crate::json::Object;
 use crate::origin::OriginLedger;
-use permadead_archive::ArchiveStore;
 use permadead_core::{
     analyze_link, default_stages, empty_stats, live_check_with_retry, recommend_for, Dataset,
     DatasetEntry, IncrementalAudit, LiveCheck, Recommendation, ReauditOutcome, Stage, StageStats,
@@ -24,7 +24,6 @@ use permadead_net::{MetricsSnapshot, RetryPolicy, SimTime};
 use permadead_rescue::RescueIndex;
 use permadead_sim::{Scenario, ScenarioConfig};
 use permadead_url::{fnv1a, Url};
-use permadead_web::LiveWeb;
 use permadead_worldstore::World;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -61,41 +60,9 @@ pub struct CheckOutcome {
     pub rediscovered: bool,
 }
 
-/// The seeded world behind a service: either a freshly generated
-/// [`Scenario`] or a [`World`] rehydrated from an on-disk snapshot. The
-/// snapshot determinism contract makes the two behaviourally identical, so
-/// every handler goes through these accessors and never cares which it got.
-enum WorldSource {
-    Scenario(Box<Scenario>),
-    Snapshot(Box<World>),
-}
-
-impl WorldSource {
-    fn web(&self) -> &LiveWeb {
-        match self {
-            WorldSource::Scenario(s) => &s.web,
-            WorldSource::Snapshot(w) => &w.web,
-        }
-    }
-
-    fn archive(&self) -> &ArchiveStore {
-        match self {
-            WorldSource::Scenario(s) => &s.archive,
-            WorldSource::Snapshot(w) => &w.archive,
-        }
-    }
-
-    fn study_time(&self) -> SimTime {
-        match self {
-            WorldSource::Scenario(s) => s.config.study_time,
-            WorldSource::Snapshot(w) => w.meta.study_time,
-        }
-    }
-}
-
 /// The shared audit service: immutable world + concurrent cache.
 pub struct AuditService {
-    world: WorldSource,
+    world: World,
     stages: Vec<Box<dyn Stage>>,
     /// URL → index in the batch dataset (the parity set).
     index_of: HashMap<String, usize>,
@@ -117,54 +84,19 @@ pub struct AuditService {
 }
 
 impl AuditService {
-    /// Generate the world for `config` and index it for serving.
+    /// Generate the world for `config`, lower it, and index it for serving.
     pub fn new(config: ScenarioConfig, cache: CacheConfig) -> AuditService {
-        let scenario = Scenario::generate(config);
-        Self::over(scenario, cache)
+        let world = crate::world_from_scenario(Scenario::generate(config), "generated");
+        Self::from_world(world, cache)
     }
 
-    /// Build over an existing scenario (tests reuse a pre-built world).
-    pub fn over(scenario: Scenario, cache: CacheConfig) -> AuditService {
-        // exactly the `permadead audit` dataset
-        let dataset = Dataset::march(
-            &scenario.wiki,
-            scenario.config.sample_size,
-            scenario.config.seed,
-        );
-        let index_of: HashMap<String, usize> = dataset
-            .entries
-            .iter()
-            .enumerate()
-            .map(|(i, e)| (e.url.to_string(), i))
-            .collect();
-        // every IABot-tagged URL wiki-wide, for provenance beyond the sample
-        let all = Dataset::all_tagged(&scenario.wiki);
-        let extra: HashMap<String, DatasetEntry> = all
-            .entries
-            .into_iter()
-            .filter(|e| !index_of.contains_key(&e.url.to_string()))
-            .map(|e| (e.url.to_string(), e))
-            .collect();
-        AuditService {
-            world: WorldSource::Scenario(Box::new(scenario)),
-            stages: default_stages(),
-            index_of,
-            dataset,
-            extra,
-            cache: ShardedCache::new(cache),
-            retry: RetryPolicy::single(),
-            origin_budget: None,
-            rescue: None,
-        }
-    }
-
-    /// Build over a world snapshot (the `--world-cache` path). No wiki, no
+    /// Build over a world, decoded from a snapshot (the `--world-cache`
+    /// path) or lowered from a freshly generated scenario. No wiki, no
     /// replay: the batch-parity dataset comes straight from the interned
     /// march table, and the all-tagged table supplies provenance beyond the
-    /// sample — the same two sets [`Self::over`] derives from the scenario,
-    /// recorded at snapshot time. The service queries only the index given
-    /// to [`Self::with_rescue`], so a rediscovery index still inside the
-    /// world is dropped here rather than kept for the server's lifetime.
+    /// sample. The service queries only the index given to
+    /// [`Self::with_rescue`], so a rediscovery index still inside the world
+    /// is dropped here rather than kept for the server's lifetime.
     pub fn from_world(mut world: World, cache: CacheConfig) -> AuditService {
         world.rescue = None;
         let dataset = Dataset::from_table(&world.march, &world.interner);
@@ -182,7 +114,7 @@ impl AuditService {
             .map(|e| (e.url.to_string(), e))
             .collect();
         AuditService {
-            world: WorldSource::Snapshot(Box::new(world)),
+            world,
             stages: default_stages(),
             index_of,
             dataset,
@@ -196,11 +128,9 @@ impl AuditService {
 
     /// Enable lexical-signature rediscovery (E19): the pipeline's
     /// rediscovery stage queries `rescue` for every non-alive link that has
-    /// a pre-marking content fingerprint. For a snapshot-backed service,
-    /// move the index out of the [`World`] before handing the world over
-    /// (`world.rescue.take()`: [`Self::from_world`] drops any index left
-    /// inside); for a generated one, build it from the scenario's web at
-    /// study time.
+    /// a pre-marking content fingerprint. Move the index out of the
+    /// [`World`] (or build one over its web at study time) before handing
+    /// the world over: [`Self::from_world`] drops any index left inside.
     pub fn with_rescue(mut self, rescue: Option<Arc<RescueIndex>>) -> AuditService {
         self.rescue = rescue;
         self
@@ -238,7 +168,7 @@ impl AuditService {
 
     /// The moment every audit is evaluated at (the paper's study time).
     pub fn study_time(&self) -> SimTime {
-        self.world.study_time()
+        self.world.meta.study_time
     }
 
     /// One watch-scheduler re-check: fetch `url` at simulated instant `at`
@@ -251,20 +181,12 @@ impl AuditService {
         url: &Url,
         at: SimTime,
     ) -> (LiveCheck, permadead_net::RetryOutcome) {
-        live_check_with_retry(self.world.web(), url, at, &self.retry)
+        live_check_with_retry(&self.world.web, url, at, &self.retry)
     }
 
-    /// The generated scenario behind a [`Self::new`]/[`Self::over`] service.
-    /// Panics for snapshot-backed services: ground truth (the wiki, the link
-    /// specs) is deliberately not serialized, so only generation-aware
-    /// callers (tests, calibration tools) may ask.
-    pub fn scenario(&self) -> &Scenario {
-        match &self.world {
-            WorldSource::Scenario(s) => s,
-            WorldSource::Snapshot(_) => {
-                panic!("scenario(): service is snapshot-backed; generation ground truth is unavailable")
-            }
-        }
+    /// The world every answer is drawn from.
+    pub fn world(&self) -> &World {
+        &self.world
     }
 
     /// The batch-parity dataset backing `/check`.
@@ -278,7 +200,7 @@ impl AuditService {
 
     /// Counters of the simulated live web (measurement cost side).
     pub fn net_snapshot(&self) -> MetricsSnapshot {
-        self.world.web().metrics.snapshot()
+        self.world.web.metrics.snapshot()
     }
 
     /// Dataset index of `url`, if it is in the batch-parity sample.
@@ -291,8 +213,8 @@ impl AuditService {
     /// callers cache the result and feed it to [`Self::reaudit`].
     pub fn build_incremental(&self) -> IncrementalAudit {
         IncrementalAudit::build(
-            self.world.web(),
-            self.world.archive(),
+            &self.world.web,
+            &self.world.archive,
             &self.dataset,
             self.study_time(),
             StudyOptions::default()
@@ -309,7 +231,7 @@ impl AuditService {
         indices: &[usize],
         at: SimTime,
     ) -> ReauditOutcome {
-        audit.reaudit_indices(self.world.web(), self.world.archive(), indices, at)
+        audit.reaudit_indices(&self.world.web, &self.world.archive, indices, at)
     }
 
     /// Audit one URL at serving time `now` (cache TTL clock only; the
@@ -345,8 +267,8 @@ impl AuditService {
             _ => self.retry,
         };
         let env = StudyEnv {
-            web: self.world.web(),
-            archive: self.world.archive(),
+            web: &self.world.web,
+            archive: &self.world.archive,
             now: self.study_time(),
             retry,
             cdx_timeout_ms: None,
@@ -357,7 +279,7 @@ impl AuditService {
         if let Some(ledger) = &self.origin_budget {
             ledger.charge(&host, stats.iter().map(|s| s.retry_backoff_ms).sum());
         }
-        let recommendation = recommend_for(&finding, self.world.archive());
+        let recommendation = recommend_for(&finding, &self.world.archive);
 
         let verdict = if finding.genuinely_alive() {
             "alive"
@@ -445,7 +367,7 @@ impl AuditService {
     /// schedules draw from this with Zipf weights so offered traffic has
     /// the same popularity head the paper observed.
     pub fn ranked_urls(&self, count: usize) -> Vec<(String, u32)> {
-        let ranks = &self.world.web().ranks;
+        let ranks = &self.world.web.ranks;
         self.sample_urls(count)
             .into_iter()
             .map(|raw| {
@@ -519,8 +441,8 @@ mod tests {
     fn check_matches_batch_audit_for_every_dataset_url() {
         let svc = tiny_service();
         let batch = Study::run(
-            &svc.scenario().web,
-            &svc.scenario().archive,
+            &svc.world().web,
+            &svc.world().archive,
             svc.dataset(),
             svc.study_time(),
         );
@@ -598,7 +520,8 @@ mod tests {
             ..ScenarioConfig::small(7)
         };
         let generated = AuditService::new(cfg.clone(), CacheConfig::default());
-        let world = crate::worldcache::world_from_scenario(Scenario::generate(cfg), "small");
+        let bytes = crate::world_from_scenario(Scenario::generate(cfg), "small").to_bytes();
+        let world = World::from_bytes(&bytes).expect("saved snapshot bytes decode");
         let snapped = AuditService::from_world(world, CacheConfig::default());
 
         assert_eq!(snapped.study_time(), generated.study_time());

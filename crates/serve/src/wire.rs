@@ -13,8 +13,6 @@
 //! request consumed, so a pipelined follow-up request is never swallowed
 //! into the current body.
 
-use std::io::Read;
-
 /// Hard caps on what we buffer from a socket.
 pub const MAX_HEADER_BYTES: usize = 16 * 1024;
 pub const MAX_BODY_BYTES: usize = 1024 * 1024;
@@ -40,17 +38,14 @@ pub enum WireError {
     BadRequest,
     /// Headers or declared body exceeded the fixed caps → 413.
     TooLarge,
-    /// Clean EOF before a request line (client connected and left).
-    Closed,
 }
 
 impl WireError {
-    /// The status code this parse failure answers with (0 = nothing to say).
+    /// The status code this parse failure answers with.
     pub fn status(self) -> u16 {
         match self {
             WireError::BadRequest => 400,
             WireError::TooLarge => 413,
-            WireError::Closed => 0,
         }
     }
 }
@@ -70,8 +65,7 @@ pub enum Parse {
 }
 
 /// Find the end of the header block: the byte index just past the first
-/// empty line. Tolerates bare-`\n` line endings like the blocking parser
-/// always has.
+/// empty line. Tolerates bare-`\n` line endings.
 fn headers_end(buf: &[u8]) -> Option<usize> {
     let mut line_start = 0usize;
     for (i, &b) in buf.iter().enumerate() {
@@ -169,32 +163,6 @@ pub fn parse_request(buf: &[u8]) -> Parse {
             keep_alive,
         },
         consumed,
-    }
-}
-
-/// Read one request from a blocking stream — the incremental parser driven
-/// by a read loop. Kept for tests and any synchronous caller; the server
-/// itself feeds [`parse_request`] straight from the reactor.
-pub fn read_request<S: Read>(stream: &mut S) -> std::io::Result<Result<HttpRequest, WireError>> {
-    let mut buf: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 4096];
-    loop {
-        match parse_request(&buf) {
-            Parse::Complete { request, .. } => return Ok(Ok(request)),
-            Parse::Bad(e) => return Ok(Err(e)),
-            Parse::Incomplete => {}
-        }
-        let n = match stream.read(&mut chunk) {
-            Ok(n) => n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
-        };
-        if n == 0 {
-            // EOF with an incomplete request: nothing at all is a clean
-            // hangup, a partial request is malformed.
-            return Ok(Err(if buf.is_empty() { WireError::Closed } else { WireError::BadRequest }));
-        }
-        buf.extend_from_slice(&chunk[..n]);
     }
 }
 
@@ -369,7 +337,11 @@ mod tests {
     }
 
     fn parse(raw: &str) -> Result<HttpRequest, WireError> {
-        read_request(&mut std::io::Cursor::new(raw.as_bytes().to_vec())).unwrap()
+        match parse_request(raw.as_bytes()) {
+            Parse::Complete { request, .. } => Ok(request),
+            Parse::Bad(e) => Err(e),
+            Parse::Incomplete => panic!("incomplete request: {raw:?}"),
+        }
     }
 
     #[test]
@@ -411,12 +383,6 @@ mod tests {
         }
         raw.push_str("\r\n");
         assert_eq!(parse(&raw), Err(WireError::TooLarge));
-    }
-
-    #[test]
-    fn eof_variants() {
-        assert_eq!(parse(""), Err(WireError::Closed));
-        assert_eq!(parse("GET / HTTP/1.1\r\n"), Err(WireError::BadRequest));
     }
 
     // ------ the hostile-request sweep: smuggling-shaped Content-Length ------
@@ -500,7 +466,6 @@ mod tests {
     fn wire_error_statuses() {
         assert_eq!(WireError::BadRequest.status(), 400);
         assert_eq!(WireError::TooLarge.status(), 413);
-        assert_eq!(WireError::Closed.status(), 0);
     }
 
     #[test]

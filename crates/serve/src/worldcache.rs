@@ -1,27 +1,31 @@
 //! Scenario → [`World`] composition and the on-disk world cache.
 //!
 //! `permadead-sim` deliberately knows nothing about `core`'s datasets or
-//! `worldstore`'s tables, so lowering a generated scenario into a savable
-//! [`World`] lives here, in the lowest crate that depends on all three. The
-//! three link tables come from the same [`Dataset::march`],
-//! [`Dataset::september`] and [`Dataset::all_tagged`] constructors audit and
-//! serve use, so a snapshot-backed [`AuditService`](crate::AuditService)
-//! answers bit-identically to a generated one.
+//! `worldstore`'s tables, so lowering a generated scenario into a [`World`]
+//! lives here, in the lowest crate that depends on all three. Every
+//! command, the server and the repro binaries lower a scenario right after
+//! generating it and run over the world from then on. The three link tables
+//! come from the [`Dataset::march`], [`Dataset::september`] and
+//! [`Dataset::all_tagged`] constructors, so a world decoded from a snapshot
+//! and one lowered in memory answer bit-identically.
 //!
 //! [`load_or_generate`] is the `--world-cache` entry point the CLI and the
 //! repro binaries share: hit → decode the snapshot (no wiki replay at all);
-//! miss → generate, lower, save, and leave the snapshot behind for next
-//! time.
+//! miss → generate, lower, index, save, and leave the snapshot behind for
+//! next time.
 
 use permadead_core::Dataset;
+use permadead_rescue::RescueIndex;
 use permadead_sim::{Scenario, ScenarioConfig};
 use permadead_worldstore::{Interner, World, WorldMeta};
 use std::path::{Path, PathBuf};
 
-/// Lower a fully generated scenario into a savable [`World`]. Consumes the
+/// Lower a fully generated scenario into a [`World`]. Consumes the
 /// scenario: the web and archive move into the world unchanged, the wiki is
 /// reduced to the three link tables, and ground truth (`specs`,
-/// `bot_reports`) is dropped — a snapshot answers audits, not calibration.
+/// `bot_reports`) is dropped — a world answers audits, not calibration.
+/// The world carries no rediscovery index; [`world_for_snapshot`] adds the
+/// one every saved snapshot carries.
 pub fn world_from_scenario(scenario: Scenario, scale: &str) -> World {
     let (sample, seed) = (scenario.config.sample_size, scenario.config.seed);
     let march = Dataset::march(&scenario.wiki, sample, seed);
@@ -44,18 +48,33 @@ pub fn world_from_scenario(scenario: Scenario, scale: &str) -> World {
         // scenario seed); recorded so `World::load` re-aims `LiveWeb::new`
         content_seed: scenario.config.seed ^ 0xC0FFEE,
     };
-    // Index the live web's reachable pages at study time so a snapshot-backed
-    // service can run the rediscovery stage without regenerating the
-    // scenario. The build is bit-identical for any worker count, so the
-    // snapshot bytes stay deterministic.
-    let jobs = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let rescue = permadead_rescue::RescueIndex::build(
-        &scenario.web,
-        scenario.config.study_time,
-        jobs,
-    );
     World::assemble(meta, scenario.web, scenario.archive, interner, march, september, all)
-        .with_rescue(rescue)
+}
+
+/// Lower a scenario as it is saved: [`world_from_scenario`] plus the
+/// rediscovery index over the live web's reachable pages at study time, so
+/// a snapshot-backed run can use the rediscovery stage without
+/// regenerating. The index build is bit-identical for any worker count, so
+/// the snapshot bytes stay deterministic.
+pub fn world_for_snapshot(scenario: Scenario, scale: &str) -> World {
+    let mut world = world_from_scenario(scenario, scale);
+    let index = take_rescue_index(&mut world, 0);
+    world.with_rescue(index)
+}
+
+/// The rediscovery index over `world`'s live web at study time: the one the
+/// world carries (a decoded snapshot's), moved out, or else a fresh build
+/// over `jobs` workers (0 = one per core). The sharded build is
+/// bit-identical for every worker count, so the two agree.
+pub fn take_rescue_index(world: &mut World, jobs: usize) -> RescueIndex {
+    if let Some(index) = world.rescue.take() {
+        return index;
+    }
+    let jobs = match jobs {
+        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        n => n,
+    };
+    RescueIndex::build(&world.web, world.meta.study_time, jobs)
 }
 
 /// Where a `(seed, scale)` world lives inside a cache directory.
@@ -149,8 +168,7 @@ pub fn load_or_generate(
         }
     }
     std::fs::create_dir_all(dir)?;
-    let scenario = Scenario::generate(config);
-    let world = world_from_scenario(scenario, scale);
+    let world = world_for_snapshot(Scenario::generate(config), scale);
     let size_bytes = world.save(&path)?;
     let outcome =
         WorldCacheOutcome { hit: false, path, size_bytes, elapsed: t0.elapsed(), notice };

@@ -111,8 +111,8 @@ fn verdicts_match_batch_audit_over_http() {
     let addr = handle.addr();
     let service = handle.service();
     let batch = permadead_core::Study::run(
-        &service.scenario().web,
-        &service.scenario().archive,
+        &service.world().web,
+        &service.world().archive,
         service.dataset(),
         service.study_time(),
     );

@@ -135,7 +135,8 @@ fn origin_retry_budget_exhausts_only_for_the_flapping_host() {
     );
     // budget 1ms: the first probe that schedules any backoff at all exhausts
     // the flapping origin; every later check against it is refused + counted
-    let service = AuditService::over(scenario, CacheConfig::default())
+    let world = permadead_serve::world_from_scenario(scenario, "small");
+    let service = AuditService::from_world(world, CacheConfig::default())
         .with_retry(RetryPolicy::standard(4, RETRY_SEED))
         .with_origin_retry_budget_ms(Some(1));
     let server = spawn(service);
@@ -213,12 +214,14 @@ fn fault_campaign_retries_bound_verdict_flips_and_counters_match_exactly() {
     // ---- servers B and C: identical faulted worlds ------------------------
     let mut scenario_b = Scenario::generate(world_config());
     inject_faults(&mut scenario_b, &targets);
-    let b = spawn(AuditService::over(scenario_b, CacheConfig::default()));
+    let world_b = permadead_serve::world_from_scenario(scenario_b, "small");
+    let b = spawn(AuditService::from_world(world_b, CacheConfig::default()));
 
     let retry = RetryPolicy::standard(4, RETRY_SEED);
     let mut scenario_c = Scenario::generate(world_config());
     inject_faults(&mut scenario_c, &targets);
-    let c = spawn(AuditService::over(scenario_c, CacheConfig::default()).with_retry(retry));
+    let world_c = permadead_serve::world_from_scenario(scenario_c, "small");
+    let c = spawn(AuditService::from_world(world_c, CacheConfig::default()).with_retry(retry));
 
     let statuses_b: Vec<String> =
         targets.iter().map(|(u, _)| live_status_of(&check(b.addr(), u))).collect();
@@ -268,7 +271,7 @@ fn fault_campaign_retries_bound_verdict_flips_and_counters_match_exactly() {
     for (url, _) in &targets {
         let parsed = permadead_url::Url::parse(url).unwrap();
         let (_, outcome) = permadead_core::live_check_with_retry(
-            &c.service().scenario().web,
+            &c.service().world().web,
             &parsed,
             study,
             &retry,

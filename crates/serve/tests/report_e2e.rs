@@ -84,7 +84,8 @@ fn watch_flip_updates_the_incremental_report_by_exactly_one_link() {
     assert!(live_check(&scenario.web, &target, study).is_final_200());
     assert!(!live_check(&scenario.web, &target, dark_from).is_final_200());
 
-    let service = AuditService::over(scenario, CacheConfig::default());
+    let world = permadead_serve::world_from_scenario(scenario, "small");
+    let service = AuditService::from_world(world, CacheConfig::default());
     let handle = start(
         service,
         ServerConfig {

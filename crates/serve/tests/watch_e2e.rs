@@ -77,7 +77,8 @@ fn watched_link_flaps_through_tag_and_revival_with_counter_parity() {
     assert!(!live_check(&scenario.web, &target, dark_from).is_final_200());
     assert!(live_check(&scenario.web, &target, dark_to).is_final_200(), "window is half-open");
 
-    let service = AuditService::over(scenario, CacheConfig::default());
+    let world = permadead_serve::world_from_scenario(scenario, "small");
+    let service = AuditService::from_world(world, CacheConfig::default());
     let handle = start(
         service,
         ServerConfig {
@@ -214,11 +215,14 @@ fn watch_rejects_empty_and_oversized_bodies() {
     .expect("server starts");
     let addr = handle.addr();
 
-    let (status, _, _) = post(addr, "/watch", "");
-    assert!(status.contains("400"), "{status}");
-    let (status, _, body) =
-        post(addr, "/watch", "http://a.org/1\nhttp://a.org/2\nhttp://a.org/3\n");
-    assert!(status.contains("413"), "{status}: {body}");
+    // /batch reads its URL list the same way
+    for endpoint in ["/watch", "/batch"] {
+        let (status, _, _) = post(addr, endpoint, "");
+        assert!(status.contains("400"), "{endpoint}: {status}");
+        let (status, _, body) =
+            post(addr, endpoint, "http://a.org/1\nhttp://a.org/2\nhttp://a.org/3\n");
+        assert!(status.contains("413"), "{endpoint}: {status}: {body}");
+    }
     // wrong method
     let (status, _, _) = get(addr, "/watch");
     assert!(status.contains("404") || status.contains("405"), "{status}");

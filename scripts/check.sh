@@ -127,20 +127,39 @@ fi
 rm -f "$rescue_out"
 echo "check.sh: rescue-table golden green"
 
+# Headline golden: the paper-vs-measured tables for both samples on the
+# pinned seed, as repro_summary prints them (tests/end_to_end.rs pins the
+# same file).
+summary_out="$(mktemp)"
+PERMADEAD_SEED=42 PERMADEAD_SCALE=small ./target/release/repro_summary >"$summary_out" 2>/dev/null
+if ! diff -u results/SUMMARY_seed42_small.txt "$summary_out"; then
+    echo "check.sh: headline tables drifted from results/SUMMARY_seed42_small.txt" >&2
+    exit 1
+fi
+rm -f "$summary_out"
+echo "check.sh: summary golden green"
+
 # World-cache round trip: `audit --world-cache` must miss (generate + save),
-# then hit (decode the snapshot), and print the identical report — only the
-# per-stage wall-clock latency rows may differ. Then the world-scale bench
-# must run end to end and persist its JSON summary.
+# then hit (decode the snapshot), and print the report `audit` prints with
+# no cache at all (generate and lower in memory) — only the per-stage
+# wall-clock latency rows may differ. Then the world-scale bench must run
+# end to end and persist its JSON summary.
 world_dir="$(mktemp -d)"
+audit_nocache="$(mktemp)"
 audit_miss="$(mktemp)"
 audit_hit="$(mktemp)"
 cache_log="$(mktemp)"
+./target/release/permadead audit --seed 42 2>/dev/null | grep -v ' hits ' >"$audit_nocache"
 ./target/release/permadead audit --seed 42 --world-cache "$world_dir" 2>"$cache_log" \
     | grep -v ' hits ' >"$audit_miss"
 grep -q 'world cache miss' "$cache_log"
 ./target/release/permadead audit --seed 42 --world-cache "$world_dir" 2>"$cache_log" \
     | grep -v ' hits ' >"$audit_hit"
 grep -q 'world cache hit' "$cache_log"
+if ! diff -u "$audit_nocache" "$audit_miss"; then
+    echo "check.sh: cache-miss audit drifted from the uncached audit" >&2
+    exit 1
+fi
 if ! diff -u "$audit_miss" "$audit_hit"; then
     echo "check.sh: snapshot-backed audit drifted from the generated audit" >&2
     exit 1
@@ -180,7 +199,7 @@ if ! awk "$world_num"'
     echo "check.sh: the snapshot load's heap peak is over 110% of what it keeps" >&2
     exit 1
 fi
-rm -rf "$world_dir" "$results_tmp" "$audit_miss" "$audit_hit" "$cache_log"
+rm -rf "$world_dir" "$results_tmp" "$audit_nocache" "$audit_miss" "$audit_hit" "$cache_log"
 echo "check.sh: world-cache round trip green"
 
 # Unknown flags and degenerate policy specs must fail fast, before any

@@ -103,6 +103,26 @@ fn section5_shape() {
     assert_band("ed-1 typos", r.unique_edit_distance_1 as f64 / n, 0.022, 0.02);
 }
 
+/// The seed-42 headline, pinned byte for byte: both samples'
+/// paper-vs-measured tables as `repro_summary` prints them at
+/// `PERMADEAD_SEED=42 PERMADEAD_SCALE=small`. The band tests above accept
+/// drifts this golden catches.
+#[test]
+fn seed42_headline_tables_match_the_pinned_summary() {
+    let s = scenario();
+    let (sample, seed) = (s.config.sample_size, s.config.seed);
+    let march = Dataset::march(&s.wiki, sample, seed);
+    let september = Dataset::september(&s.wiki, sample, seed);
+    let tables: String = [
+        Study::run(&s.web, &s.archive, &march, s.config.study_time),
+        Study::run(&s.web, &s.archive, &september, s.config.random_sample_time),
+    ]
+    .iter()
+    .map(|study| format!("{}\n\n", study.report().render_comparison()))
+    .collect();
+    assert_eq!(tables, include_str!("../results/SUMMARY_seed42_small.txt"));
+}
+
 #[test]
 fn figure5_gaps_are_log_spread() {
     let study = march_study();
