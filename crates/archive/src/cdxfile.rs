@@ -160,10 +160,12 @@ pub fn from_cdx_string(text: &str) -> Result<ArchiveStore, CdxParseError> {
         let redirect_target = if fields[4] == "-" {
             None
         } else {
-            Some(Url::parse(fields[4]).map_err(|_| CdxParseError::BadField {
-                line: line_no,
-                field: "redirect",
-            })?)
+            Some(Box::new(Url::parse(fields[4]).map_err(|_| {
+                CdxParseError::BadField {
+                    line: line_no,
+                    field: "redirect",
+                }
+            })?))
         };
         let digest = u64::from_str_radix(fields[5], 16).map_err(|_| CdxParseError::BadField {
             line: line_no,

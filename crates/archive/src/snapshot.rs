@@ -34,8 +34,9 @@ pub struct Snapshot {
     pub captured: SimTime,
     /// Status code of the *first* response — the paper's "initial status".
     pub initial_status: StatusCode,
-    /// Redirect target if `initial_status` is 3xx.
-    pub redirect_target: Option<Url>,
+    /// Redirect target if `initial_status` is 3xx. Boxed: a `Url` is 104
+    /// bytes and only redirect rows have one.
+    pub redirect_target: Option<Box<Url>>,
     /// What kind of content was stored.
     pub body_class: BodyClass,
     /// Sketch of the stored body (meaningful for `Content`; a sketch of the
@@ -69,7 +70,7 @@ impl Snapshot {
             surt: permadead_url::surt(url),
             captured,
             initial_status: status,
-            redirect_target,
+            redirect_target: redirect_target.map(Box::new),
             body_class,
             sketch: MinHashSketch::of(body, 5),
             title: permadead_text::html::extract_title(body).unwrap_or_default(),

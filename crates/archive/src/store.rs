@@ -1,34 +1,64 @@
 //! The snapshot store: a SURT-ordered index over every capture.
 //!
-//! Keys are `(surt, captured, seq)`; lexicographic order on SURT makes every
-//! CDX query — exact URL, directory prefix, whole host — a contiguous range
-//! scan, exactly the property the real CDX server's sorted files provide.
+//! Rows are kept in `(surt, captured, seq)` key order. Lexicographic order on
+//! SURT makes every CDX query — exact URL, directory prefix, whole host — a
+//! contiguous run of rows, exactly the property the real CDX server's sorted
+//! files provide.
 //!
 //! The rows themselves live in one arena in insertion order, so a row's id
-//! is its insertion seq; the ordered index holds only keys.
+//! is its insertion seq. The index over them stores no strings: it holds row
+//! ids and compares against the SURT each row already holds.
+//!
+//! - **Captures:** each URL's rows form a chain in (captured, seq) order.
+//! - **URLs:** a hash table maps each SURT to its URL's first capture.
+//! - **Hosts:** each host lists its URLs' first captures in SURT order, the
+//!   hosts are listed in key order, and a hash table maps each host key to
+//!   its host.
+//!
+//! A host's key is the SURT up to and including its first `)/`, such as
+//! `org,example,www)/` (a SURT with no `)/`, which no URL makes, is its own
+//! key). No key is a prefix of another's URLs but its own, so a host's rows
+//! sort together and the hosts sort as their keys do.
 
 use crate::snapshot::Snapshot;
+use permadead_net::metrics::Counter;
 use permadead_net::SimTime;
-use permadead_url::Url;
-use std::collections::BTreeSet;
-use std::ops::Bound;
+use permadead_url::{fnv1a, Fnv1a, IdTable, Url};
 
-/// `(surt, capture time, insertion seq)`. The seq breaks ties when the same
-/// URL is captured twice in one instant, and is the row's id in the arena.
-type Key = (String, SimTime, u32);
+/// The end of a capture chain.
+const NIL: u32 = u32::MAX;
+
+/// The host key of a SURT: everything up to and including its first `)/`.
+fn host_key(surt: &str) -> &str {
+    surt.find(")/").map_or(surt, |i| &surt[..i + 2])
+}
 
 /// Ordered snapshot storage.
 #[derive(Debug, Default)]
 pub struct ArchiveStore {
     /// Every capture, in insertion order.
     rows: Vec<Snapshot>,
-    /// Every row's key, in key order.
-    index: BTreeSet<Key>,
+    /// `next[row]`: the row's URL's next capture in (captured, seq) order,
+    /// or [`NIL`].
+    next: Vec<u32>,
+    /// SURT → the URL's first capture.
+    urls: IdTable,
+    /// Per host, in first-insert order: its URLs' first captures in SURT
+    /// order.
+    hosts: Vec<Vec<u32>>,
+    /// Host key → index into `hosts`.
+    host_keys: IdTable,
+    /// Indices into `hosts`, in key order.
+    host_order: Vec<u32>,
+    /// Whether some host key holds a `)` before its `)/` (a host name with a
+    /// `)` in it), or no `)/` at all. Until one does, a host prefix `…)`
+    /// names at most one host.
+    odd_hosts: bool,
     /// Index-access accounting: how many scans were issued and how many
     /// rows they touched (the cost axis of the paper's efficiency-vs-
     /// coverage tradeoff).
-    pub lookups: permadead_net::metrics::Counter,
-    pub rows_scanned: permadead_net::metrics::Counter,
+    pub lookups: Counter,
+    pub rows_scanned: Counter,
 }
 
 impl ArchiveStore {
@@ -38,16 +68,142 @@ impl ArchiveStore {
 
     /// Insert a capture.
     pub fn insert(&mut self, snapshot: Snapshot) {
-        let key = self.push(snapshot);
-        self.index.insert(key);
+        let row = self.push(snapshot);
+        self.index(row);
     }
 
-    /// Append a row to the arena, returning its key.
-    fn push(&mut self, snapshot: Snapshot) -> Key {
-        let seq = u32::try_from(self.rows.len()).expect("archive holds at most u32::MAX rows");
-        let key = (snapshot.surt.clone(), snapshot.captured, seq);
+    /// Append a row to the arena, unlinked, returning its id.
+    fn push(&mut self, snapshot: Snapshot) -> u32 {
+        let row = u32::try_from(self.rows.len())
+            .ok()
+            .filter(|&row| row != NIL)
+            .expect("archive holds fewer than u32::MAX rows");
         self.rows.push(snapshot);
-        key
+        self.next.push(NIL);
+        row
+    }
+
+    fn surt(&self, row: u32) -> &str {
+        &self.rows[row as usize].surt
+    }
+
+    /// A row's place in key order, short of its SURT.
+    fn capture_key(&self, row: u32) -> (SimTime, u32) {
+        (self.rows[row as usize].captured, row)
+    }
+
+    fn host_key_of(&self, host: u32) -> &str {
+        host_key(self.surt(self.hosts[host as usize][0]))
+    }
+
+    /// The first capture of the URL with this SURT, `hash` being its hash.
+    fn head(&self, hash: u64, surt: &str) -> Option<u32> {
+        self.urls.find(hash, |row| self.surt(row) == surt)
+    }
+
+    /// The host whose key hashes to `hash` and satisfies `is`.
+    fn host(&self, hash: u64, is: impl Fn(&str) -> bool) -> Option<u32> {
+        self.host_keys.find(hash, |host| is(self.host_key_of(host)))
+    }
+
+    /// Link an arena row into the index.
+    fn index(&mut self, row: u32) {
+        let surt = self.surt(row);
+        let hash = fnv1a(surt.as_bytes());
+        match self.head(hash, surt) {
+            Some(head) => self.add_capture(head, row, hash),
+            None => self.add_url(row, hash),
+        }
+    }
+
+    /// Link `row` into the capture chain that starts at `head`.
+    fn add_capture(&mut self, head: u32, row: u32, hash: u64) {
+        let key = self.capture_key(row);
+        if key < self.capture_key(head) {
+            // the URL's new first capture: it takes the old head's place in
+            // the URL table and in its host's list
+            self.next[row as usize] = head;
+            self.urls.replace(hash, head, row);
+            let surt = self.surt(row);
+            let key = host_key(surt);
+            let host = self
+                .host(fnv1a(key.as_bytes()), |k| k == key)
+                .expect("an indexed URL's host is indexed") as usize;
+            let at = self.hosts[host]
+                .binary_search_by(|&r| self.surt(r).cmp(surt))
+                .expect("an indexed URL is in its host's list");
+            self.hosts[host][at] = row;
+            return;
+        }
+        let mut at = head;
+        while self.next[at as usize] != NIL && self.capture_key(self.next[at as usize]) < key {
+            at = self.next[at as usize];
+        }
+        self.next[row as usize] = self.next[at as usize];
+        self.next[at as usize] = row;
+    }
+
+    /// Index `row` as the first capture of a URL the store has not seen.
+    fn add_url(&mut self, row: u32, hash: u64) {
+        let rows = &self.rows;
+        self.urls
+            .insert(hash, row, |r| fnv1a(rows[r as usize].surt.as_bytes()));
+        let surt = self.surt(row);
+        let key = host_key(surt);
+        let key_hash = fnv1a(key.as_bytes());
+        match self.host(key_hash, |k| k == key) {
+            Some(host) => {
+                let urls = &self.hosts[host as usize];
+                let at = urls.partition_point(|&r| self.surt(r) < surt);
+                self.hosts[host as usize].insert(at, row);
+            }
+            None => {
+                let at = self
+                    .host_order
+                    .partition_point(|&h| self.host_key_of(h) < key);
+                self.add_host(row, key_hash, at);
+            }
+        }
+    }
+
+    /// Start a host whose first URL's first capture is `row`, at `at` in
+    /// key order.
+    fn add_host(&mut self, row: u32, key_hash: u64, at: usize) {
+        let key = host_key(self.surt(row));
+        self.odd_hosts |= key.find(')').map(|i| i + 2) != Some(key.len());
+        let host = u32::try_from(self.hosts.len()).expect("fewer hosts than rows");
+        self.hosts.push(vec![row]);
+        let (rows, hosts) = (&self.rows, &self.hosts);
+        self.host_keys.insert(key_hash, host, |h| {
+            fnv1a(host_key(&rows[hosts[h as usize][0] as usize].surt).as_bytes())
+        });
+        self.host_order.insert(at, host);
+    }
+
+    /// Index `row`, whose key is at least every indexed row's, the last
+    /// indexed row being `row - 1`: the bulk build's path for input already
+    /// in key order, with no search.
+    fn append(&mut self, row: u32) {
+        let prev = row.checked_sub(1).map(|prev| self.surt(prev));
+        let surt = self.surt(row);
+        if prev == Some(surt) {
+            // the same URL's latest capture: its chain's new tail
+            self.next[row as usize - 1] = row;
+            return;
+        }
+        let hash = fnv1a(surt.as_bytes());
+        let key = host_key(surt);
+        let new_host = (prev.map(host_key) != Some(key)).then(|| fnv1a(key.as_bytes()));
+        let rows = &self.rows;
+        self.urls
+            .insert(hash, row, |r| fnv1a(rows[r as usize].surt.as_bytes()));
+        match new_host {
+            Some(key_hash) => self.add_host(row, key_hash, self.host_order.len()),
+            None => {
+                let last = *self.host_order.last().expect("a row before this one");
+                self.hosts[last as usize].push(row);
+            }
+        }
     }
 
     pub fn len(&self) -> usize {
@@ -58,23 +214,14 @@ impl ArchiveStore {
         self.rows.is_empty()
     }
 
-    fn row(&self, &(_, _, seq): &Key) -> &Snapshot {
-        &self.rows[seq as usize]
-    }
-
     /// All snapshots of exactly this URL, in capture order.
     pub fn snapshots_of(&self, url: &Url) -> Vec<&Snapshot> {
-        let surt = permadead_url::surt(url);
-        self.range_by_exact_surt(&surt).collect()
+        self.range_by_exact_surt(&permadead_url::surt(url))
+            .collect()
     }
 
     /// Snapshots of this URL captured in `[from, to)`.
-    pub fn snapshots_of_between(
-        &self,
-        url: &Url,
-        from: SimTime,
-        to: SimTime,
-    ) -> Vec<&Snapshot> {
+    pub fn snapshots_of_between(&self, url: &Url, from: SimTime, to: SimTime) -> Vec<&Snapshot> {
         self.snapshots_of(url)
             .into_iter()
             .filter(|s| s.captured >= from && s.captured < to)
@@ -83,36 +230,53 @@ impl ArchiveStore {
 
     /// The earliest capture of this URL, if any.
     pub fn first_snapshot_of(&self, url: &Url) -> Option<&Snapshot> {
-        let surt = permadead_url::surt(url);
-        self.range_by_exact_surt(&surt).next()
+        self.range_by_exact_surt(&permadead_url::surt(url)).next()
     }
 
     /// Iterate snapshots whose SURT starts with `prefix`, in key order.
     /// This is the raw scan the CDX API's prefix/host modes use.
     pub fn scan_surt_prefix<'a>(&'a self, prefix: &str) -> impl Iterator<Item = &'a Snapshot> + 'a {
-        let prefix = prefix.to_string();
         self.lookups.incr();
         let rows = &self.rows_scanned;
-        self.index
-            .range((
-                Bound::Included((prefix.clone(), SimTime(i64::MIN), 0)),
-                Bound::Unbounded,
-            ))
-            .take_while(move |(surt, _, _)| surt.starts_with(&prefix))
-            .inspect(move |_| rows.incr())
-            .map(|key| self.row(key))
+        self.prefix_rows(prefix).inspect(move |_| rows.incr())
     }
 
-    fn range_by_exact_surt<'a>(&'a self, surt: &str) -> impl Iterator<Item = &'a Snapshot> + 'a {
-        let surt = surt.to_string();
+    fn prefix_rows(&self, prefix: &str) -> Rows<'_> {
+        let mut scan = Rows::new(self);
+        if let Some(i) = prefix.find(")/") {
+            // every match is on the host keyed by the prefix through `)/`
+            let key = &prefix[..i + 2];
+            if let Some(host) = self.host(fnv1a(key.as_bytes()), |k| k == key) {
+                let urls = &self.hosts[host as usize];
+                let from = urls.partition_point(|&r| self.surt(r) < prefix);
+                let len = urls[from..].partition_point(|&r| self.surt(r).starts_with(prefix));
+                scan.urls = urls[from..from + len].iter();
+            }
+        } else if !self.odd_hosts && prefix.find(')').is_some_and(|i| i + 1 == prefix.len()) {
+            // a host prefix: with one `)` in every key, only `prefix/` matches
+            let mut hash = Fnv1a::new();
+            hash.write(prefix.as_bytes());
+            hash.write(b"/");
+            let is = |k: &str| k.len() == prefix.len() + 1 && k.starts_with(prefix);
+            if let Some(host) = self.host(hash.finish(), is) {
+                scan.urls = self.hosts[host as usize].iter();
+            }
+        } else {
+            // a prefix short of any `)/` matches whole hosts: those whose key
+            // starts with it, a run in key order
+            let order = &self.host_order;
+            let from = order.partition_point(|&h| self.host_key_of(h) < prefix);
+            let len = order[from..].partition_point(|&h| self.host_key_of(h).starts_with(prefix));
+            scan.hosts = order[from..from + len].iter();
+        }
+        scan
+    }
+
+    fn range_by_exact_surt(&self, surt: &str) -> Rows<'_> {
         self.lookups.incr();
-        self.index
-            .range((
-                Bound::Included((surt.clone(), SimTime(i64::MIN), 0)),
-                Bound::Unbounded,
-            ))
-            .take_while(move |(k, _, _)| *k == surt)
-            .map(|key| self.row(key))
+        let mut scan = Rows::new(self);
+        scan.row = self.head(fnv1a(surt.as_bytes()), surt).unwrap_or(NIL);
+        scan
     }
 
     /// Every snapshot in key order, *without* touching the access counters
@@ -120,45 +284,88 @@ impl ArchiveStore {
     /// this order — fresh seqs `0..n` preserve relative order, so every
     /// range scan is bit-identical after a save/load cycle).
     pub fn iter(&self) -> impl Iterator<Item = &Snapshot> {
-        self.index.iter().map(|key| self.row(key))
+        let mut scan = Rows::new(self);
+        scan.hosts = self.host_order.iter();
+        scan
     }
 
     /// Every distinct SURT in the store (test/debug aid).
     pub fn distinct_urls(&self) -> usize {
-        let mut count = 0;
-        let mut last: Option<&str> = None;
-        for (surt, _, _) in &self.index {
-            if last != Some(surt.as_str()) {
-                count += 1;
-                last = Some(surt.as_str());
-            }
-        }
-        count
+        self.urls.len()
     }
 }
 
-/// Bulk build: the same rows and keys as [`ArchiveStore::insert`]ing the
-/// snapshots one by one in iteration order. Each row goes straight into
-/// the arena (sized from the iterator's upper bound — a decoder's count,
-/// bounded by the bytes left — so it is not reallocated as it fills) and
-/// the index is built once from the keys, with full B-tree nodes instead
-/// of the half-full ones that one-at-a-time inserts leave behind. Input
-/// already in key order (a decoded snapshot) sorts in one linear pass; any
-/// other order is sorted first.
+/// Rows in key order: the rest of one URL's capture chain, then the chains
+/// of the URLs left in one host's list, then those of the hosts left.
+struct Rows<'a> {
+    store: &'a ArchiveStore,
+    row: u32,
+    urls: std::slice::Iter<'a, u32>,
+    hosts: std::slice::Iter<'a, u32>,
+}
+
+impl<'a> Rows<'a> {
+    fn new(store: &'a ArchiveStore) -> Rows<'a> {
+        Rows {
+            store,
+            row: NIL,
+            urls: [].iter(),
+            hosts: [].iter(),
+        }
+    }
+}
+
+impl<'a> Iterator for Rows<'a> {
+    type Item = &'a Snapshot;
+
+    fn next(&mut self) -> Option<&'a Snapshot> {
+        while self.row == NIL {
+            if let Some(&head) = self.urls.next() {
+                self.row = head;
+            } else {
+                let &host = self.hosts.next()?;
+                self.urls = self.store.hosts[host as usize].iter();
+            }
+        }
+        let row = self.row as usize;
+        self.row = self.store.next[row];
+        Some(&self.store.rows[row])
+    }
+}
+
+/// Bulk build: the same rows, in the same key order, as
+/// [`ArchiveStore::insert`]ing the snapshots one by one in iteration order.
+/// The arena and the URL table are sized from the iterator's upper bound (a
+/// decoder's count, bounded by the bytes left), so neither is reallocated as
+/// it fills. While the input comes in key order (a decoded snapshot) each
+/// row is appended with no search; from the first row out of order on, the
+/// rest are inserted.
 impl FromIterator<Snapshot> for ArchiveStore {
     fn from_iter<I: IntoIterator<Item = Snapshot>>(snapshots: I) -> Self {
         let snapshots = snapshots.into_iter();
         let (lower, upper) = snapshots.size_hint();
+        let n = upper.unwrap_or(lower);
         let mut store = ArchiveStore {
-            rows: Vec::with_capacity(upper.unwrap_or(lower)),
+            rows: Vec::with_capacity(n),
+            next: Vec::with_capacity(n),
+            urls: IdTable::with_capacity(n),
             ..ArchiveStore::default()
         };
-        let mut keys = Vec::with_capacity(store.rows.capacity());
+        let mut in_order = true;
         for snapshot in snapshots {
-            keys.push(store.push(snapshot));
+            let row = store.push(snapshot);
+            in_order &= row == 0 || {
+                let (prev, new) = (&store.rows[row as usize - 1], &store.rows[row as usize]);
+                (&prev.surt, prev.captured) <= (&new.surt, new.captured)
+            };
+            if in_order {
+                store.append(row);
+            } else {
+                store.index(row);
+            }
         }
         store.rows.shrink_to_fit();
-        store.index = keys.into_iter().collect();
+        store.next.shrink_to_fit();
         store
     }
 }
@@ -167,6 +374,7 @@ impl FromIterator<Snapshot> for ArchiveStore {
 mod tests {
     use super::*;
     use permadead_net::StatusCode;
+    use proptest::prelude::*;
 
     fn u(s: &str) -> Url {
         Url::parse(s).unwrap()
@@ -204,7 +412,9 @@ mod tests {
     fn first_snapshot() {
         let s = store();
         assert_eq!(
-            s.first_snapshot_of(&u("http://e.org/dir/a.html")).unwrap().captured,
+            s.first_snapshot_of(&u("http://e.org/dir/a.html"))
+                .unwrap()
+                .captured,
             t(2010, 1)
         );
         assert!(s.first_snapshot_of(&u("http://e.org/never")).is_none());
@@ -256,7 +466,8 @@ mod tests {
 
     /// What a scan reports of each row, in scan order.
     fn seen<'a>(rows: impl Iterator<Item = &'a Snapshot>) -> Vec<(String, SimTime, u16)> {
-        rows.map(|s| (s.surt.clone(), s.captured, s.initial_status.0)).collect()
+        rows.map(|s| (s.surt.clone(), s.captured, s.initial_status.0))
+            .collect()
     }
 
     #[test]
@@ -281,7 +492,9 @@ mod tests {
             // out of key order, as hostile input may be: a Fisher–Yates
             // shuffle driven by an LCG
             for i in (1..snaps.len()).rev() {
-                draw = draw.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                draw = draw
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
                 snaps.swap(i, (draw >> 33) as usize % (i + 1));
             }
             let mut inserted = ArchiveStore::new();
@@ -300,13 +513,34 @@ mod tests {
                     .iter()
                     .filter(|s| s.url == a && s.captured == t(2012, 3))
                     .map(|s| s.initial_status.0);
-                assert!(ties.iter().copied().eq(&mut in_input), "round {round}: ties by input");
+                assert!(
+                    ties.iter().copied().eq(&mut in_input),
+                    "round {round}: ties by input"
+                );
             }
-            let keys = |s: &ArchiveStore| s.index.iter().cloned().collect::<Vec<_>>();
+            // each row's full key: no two inputs share (url, time, status),
+            // so a row's insertion seq is its input position
+            let keys = |s: &ArchiveStore| {
+                s.iter()
+                    .map(|row| {
+                        let seq = snaps.iter().position(|i| {
+                            (&i.url, i.captured, i.initial_status)
+                                == (&row.url, row.captured, row.initial_status)
+                        });
+                        (row.surt.clone(), row.captured, seq.expect("an input row"))
+                    })
+                    .collect::<Vec<_>>()
+            };
             assert_eq!(keys(&collected), keys(&inserted), "round {round}");
-            assert_eq!(seen(collected.iter()), seen(inserted.iter()), "round {round}");
+            assert_eq!(
+                seen(collected.iter()),
+                seen(inserted.iter()),
+                "round {round}"
+            );
             let in_order = seen(collected.iter());
-            assert!(in_order.windows(2).all(|w| (&w[0].0, w[0].1) <= (&w[1].0, w[1].1)));
+            assert!(in_order
+                .windows(2)
+                .all(|w| (&w[0].0, w[0].1) <= (&w[1].0, w[1].1)));
             assert_eq!(
                 seen(collected.snapshots_of(&a).into_iter()),
                 seen(inserted.snapshots_of(&a).into_iter()),
@@ -327,7 +561,123 @@ mod tests {
                 assert_eq!(counters, (4, 13), "round {round}");
             }
         }
-        assert!(std::iter::empty::<Snapshot>().collect::<ArchiveStore>().is_empty());
+        assert!(std::iter::empty::<Snapshot>()
+            .collect::<ArchiveStore>()
+            .is_empty());
+    }
+
+    /// Hosts whose keys share prefixes: a bare domain and its `www.`, a
+    /// port, a longer and a shorter neighbour, a public-suffix cousin, and
+    /// two whose names hold a `)` (so `org,e)` also prefixes `org,e)x)`).
+    const HOSTS: [&str; 8] = [
+        "e.org",
+        "www.e.org",
+        "e.org:8080",
+        "ee.org",
+        "e.org.uk",
+        "f.org",
+        "e)x.org",
+        "e).org",
+    ];
+    const PATHS: [&str; 8] = ["/", "/a", "/a/", "/a/b", "/a/b?x=1", "/ab", "/a?y", "/b/c/"];
+
+    /// Every prefix a query can name over the generated rows, plus ones
+    /// that cut keys at odd places.
+    fn prefixes(rows: &[Snapshot]) -> Vec<String> {
+        let mut out: Vec<String> = [
+            "",
+            "o",
+            "org,",
+            "org,e",
+            "org,e)",
+            "org,e)/",
+            "org,e,",
+            "org,e)x)/a",
+            "uk,",
+            "org,e:8080)",
+        ]
+        .map(String::from)
+        .to_vec();
+        for s in rows {
+            out.push(s.surt.clone());
+            out.push(permadead_url::surt_directory_prefix(&s.url));
+            out.push(permadead_url::surt_host_prefix(s.url.host()));
+        }
+        out.sort();
+        out.dedup();
+        out
+    }
+
+    proptest! {
+        /// One-by-one inserts in a random order, a collect in that order, and
+        /// a collect of the first store's rows in key order (the decoder's
+        /// path) answer every query alike, and as a linear scan of the rows
+        /// sorted by (surt, captured, seq) does.
+        #[test]
+        fn every_build_answers_like_a_sorted_scan(
+            picks in proptest::collection::vec((0..HOSTS.len(), 0..PATHS.len(), 0..4i32, 0..3usize), 0..48),
+            shuffle in any::<u64>(),
+            odd in any::<bool>(),
+        ) {
+            // half the cases keep to hosts with no `)` in their names, where
+            // a host scan is one probe; the other half also draw the two that
+            // have one, where it is a search of the hosts in key order
+            let hosts = if odd { HOSTS.len() } else { HOSTS.len() - 2 };
+            let mut input: Vec<Snapshot> = picks
+                .iter()
+                .map(|&(h, p, year, status)| {
+                    // few instants, so one URL is often captured twice at once
+                    let url = format!("http://{}{}", HOSTS[h % hosts], PATHS[p]);
+                    snap(&url, t(2010 + year, 1), [200, 301, 404][status])
+                })
+                .collect();
+            let mut draw = shuffle;
+            for i in (1..input.len()).rev() {
+                draw = draw.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                input.swap(i, (draw >> 33) as usize % (i + 1));
+            }
+            let mut inserted = ArchiveStore::new();
+            for s in input.iter().cloned() {
+                inserted.insert(s);
+            }
+            let collected: ArchiveStore = input.iter().cloned().collect();
+            let in_key_order: ArchiveStore = inserted.iter().cloned().collect();
+
+            // the reference: input rows by (surt, captured), ties in input order
+            let mut reference: Vec<&Snapshot> = input.iter().collect();
+            reference.sort_by(|a, b| (&a.surt, a.captured).cmp(&(&b.surt, b.captured)));
+            let identity = |rows: Vec<&Snapshot>| -> Vec<(String, SimTime, u16)> { seen(rows.into_iter()) };
+            for store in [&inserted, &collected, &in_key_order] {
+                prop_assert_eq!(store.len(), input.len());
+                prop_assert_eq!(seen(store.iter()), identity(reference.clone()));
+                let mut distinct: Vec<&str> = input.iter().map(|s| s.surt.as_str()).collect();
+                distinct.sort();
+                distinct.dedup();
+                prop_assert_eq!(store.distinct_urls(), distinct.len());
+            }
+            let prefixes = prefixes(&input);
+            for store in [&inserted, &collected, &in_key_order] {
+                let mut scanned = 0;
+                for prefix in &prefixes {
+                    let want: Vec<&Snapshot> =
+                        reference.iter().copied().filter(|s| s.surt.starts_with(prefix.as_str())).collect();
+                    scanned += want.len() as u64;
+                    prop_assert_eq!(seen(store.scan_surt_prefix(prefix)), identity(want), "prefix {:?}", prefix);
+                }
+                for s in &input {
+                    let want: Vec<&Snapshot> = reference.iter().copied().filter(|r| r.surt == s.surt).collect();
+                    prop_assert_eq!(seen(store.snapshots_of(&s.url).into_iter()), identity(want.clone()));
+                    prop_assert_eq!(
+                        store.first_snapshot_of(&s.url).map(|f| (f.captured, f.initial_status)),
+                        want.first().map(|f| (f.captured, f.initial_status))
+                    );
+                }
+                let never = u("http://e.org/never");
+                prop_assert!(store.snapshots_of(&never).is_empty());
+                let lookups = prefixes.len() as u64 + 2 * input.len() as u64 + 1;
+                prop_assert_eq!((store.lookups.get(), store.rows_scanned.get()), (lookups, scanned));
+            }
+        }
     }
 
     #[test]

@@ -13,9 +13,11 @@
 //! closes, and the `world/load` line the live heap after the load and its
 //! peak during it, both counted from the load's start. The rescue postings,
 //! which a loaded index builds on its first query, are forced on their own
-//! `world/rescue_postings` line. The full study, the incremental build and
-//! the single-flip re-audit are each timed over [`ROUNDS`] rounds and
-//! reported as the median, with `speedup_vs_full` taken from the medians.
+//! `world/rescue_postings` line, and the `world/save` line carries the heap
+//! the save adds at its peak over the world it writes. The full study, the
+//! incremental build and the single-flip re-audit are each timed over
+//! [`ROUNDS`] rounds and reported as the median, with `speedup_vs_full`
+//! taken from the medians.
 //! Honours `PERMADEAD_SEED` / `PERMADEAD_SCALE` / `PERMADEAD_JOBS`; the
 //! snapshot goes to `PERMADEAD_WORLD_CACHE` when set, a temp directory
 //! otherwise.
@@ -119,9 +121,12 @@ fn main() {
         .unwrap_or_else(|| std::env::temp_dir().join("permadead-world-scale"));
     std::fs::create_dir_all(&dir).expect("snapshot directory");
     let path = worldcache::world_cache_path(&dir, seed, &scale);
+    let heap0 = LIVE.load(Relaxed);
+    PEAK.store(heap0, Relaxed);
     let t0 = Instant::now();
     let size_bytes = world.save(&path).expect("snapshot saves");
     let save_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let save_peak = PEAK.load(Relaxed).saturating_sub(heap0);
     drop(world);
 
     // 3. load: what every later run pays instead of (1), section by section,
@@ -202,7 +207,7 @@ fn main() {
     let lines = format!(
         "{{\"bench\":\"world/generate\",\"scale\":\"{scale}\",\"links\":{links},\"mean_ms\":{generate_ms:.3}}}\n\
          {{\"bench\":\"world/lower\",\"scale\":\"{scale}\",\"mean_ms\":{lower_ms:.3}}}\n\
-         {{\"bench\":\"world/save\",\"scale\":\"{scale}\",\"bytes\":{size_bytes},\"mean_ms\":{save_ms:.3}}}\n\
+         {{\"bench\":\"world/save\",\"scale\":\"{scale}\",\"bytes\":{size_bytes},\"mean_ms\":{save_ms:.3},\"heap_peak_bytes\":{save_peak}}}\n\
          {{\"bench\":\"world/load\",\"scale\":\"{scale}\",\"mean_ms\":{load_ms:.3},\"speedup_vs_generate\":{load_speedup:.1},\"heap_bytes\":{load_heap},\"heap_peak_bytes\":{load_peak}}}\n\
          {section_lines}\
          {{\"bench\":\"world/rescue_postings\",\"scale\":\"{scale}\",\"mean_ms\":{postings_ms:.3},\"heap_bytes\":{postings_heap}}}\n\

@@ -33,6 +33,16 @@ pub struct DatasetEntry {
     pub marked_by: String,
 }
 
+/// Seeds of the March and September samples, mixed into the scenario seed.
+const MARCH_SEED: u64 = 0xA1;
+const SEPTEMBER_SEED: u64 = 0xB2;
+
+/// How many category articles, in title order, the March sample reads:
+/// ~60% of them, at least one.
+fn march_articles(category: usize) -> usize {
+    (category * 6 / 10).max(1)
+}
+
 /// A study sample.
 #[derive(Debug, Clone)]
 pub struct Dataset {
@@ -76,19 +86,54 @@ impl Dataset {
     /// alphabetically, capped at `sample` links, seeded `seed ^ 0xA1`.
     pub fn march(wiki: &WikiStore, sample: usize, seed: u64) -> Dataset {
         let category = wiki.permanently_dead_category().len();
-        Dataset::alphabetical(wiki, (category * 6 / 10).max(1), sample, seed ^ 0xA1)
+        Dataset::alphabetical(wiki, march_articles(category), sample, seed ^ MARCH_SEED)
     }
 
     /// The September sample: `sample` links drawn from every tagged URL
     /// wiki-wide, seeded `seed ^ 0xB2`.
     pub fn september(wiki: &WikiStore, sample: usize, seed: u64) -> Dataset {
-        Dataset::random(wiki, sample, seed ^ 0xB2)
+        Dataset::random(wiki, sample, seed ^ SEPTEMBER_SEED)
     }
 
     /// Every IABot-tagged URL wiki-wide, unsampled: provenance for links
     /// outside the March sample.
     pub fn all_tagged(wiki: &WikiStore) -> Dataset {
         Dataset::random(wiki, usize::MAX, 0)
+    }
+
+    /// [`Dataset::march`], [`Dataset::september`] and
+    /// [`Dataset::all_tagged`] from one walk of the category, as a world
+    /// carries them: the March links are those its first articles give, a
+    /// prefix of the whole walk's.
+    pub fn samples(wiki: &WikiStore, sample: usize, seed: u64) -> (Dataset, Dataset, Dataset) {
+        let category = wiki.permanently_dead_category();
+        let march = march_articles(category.len());
+        let mut entries = Vec::new();
+        let mut seen: HashSet<Url> = HashSet::new();
+        let mut in_march = 0;
+        for (i, article) in category.into_iter().enumerate() {
+            collect_from(article, &mut entries, &mut seen);
+            if i < march {
+                in_march = entries.len();
+            }
+        }
+        let sampled = |label: &str, mut entries: Vec<DatasetEntry>, sample: usize, seed: u64| {
+            sample_down(&mut entries, sample, seed);
+            Dataset {
+                label: label.into(),
+                entries,
+            }
+        };
+        (
+            sampled(
+                "alphabetical",
+                entries[..in_march].to_vec(),
+                sample,
+                seed ^ MARCH_SEED,
+            ),
+            sampled("random", entries.clone(), sample, seed ^ SEPTEMBER_SEED),
+            sampled("random", entries, usize::MAX, 0),
+        )
     }
 
     pub fn len(&self) -> usize {
@@ -259,6 +304,22 @@ mod tests {
             w.insert(make_article(&format!("Article {i:03}"), i));
         }
         w
+    }
+
+    #[test]
+    fn samples_walk_once_and_equal_the_three_constructors() {
+        for n in [0, 1, 2, 7, 30] {
+            let w = wiki(n);
+            let (march, september, all) = Dataset::samples(&w, 5, 42);
+            for (got, want) in [
+                (march, Dataset::march(&w, 5, 42)),
+                (september, Dataset::september(&w, 5, 42)),
+                (all, Dataset::all_tagged(&w)),
+            ] {
+                assert_eq!(got.label, want.label, "{n} articles");
+                assert_eq!(got.entries, want.entries, "{n} articles");
+            }
+        }
     }
 
     #[test]

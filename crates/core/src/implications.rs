@@ -78,7 +78,7 @@ pub fn recommend_for(
         ArchivalClass::Had3xxOnly => {
             if matches!(f.redirect_verdict, Some(RedirectVerdict::Valid)) {
                 let snap = first_3xx_before(archive, url, f.entry.marked_at)?;
-                let target = snap.redirect_target.as_ref()?;
+                let target = snap.redirect_target.as_deref()?;
                 Some(Recommendation::PatchWithRedirectCopy {
                     url: url.clone(),
                     captured: snap.captured,

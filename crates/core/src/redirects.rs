@@ -100,7 +100,7 @@ fn compare_against_siblings(
         if other.surt == own_surt || consulted.binary_search(&other.surt.as_str()).is_err() {
             continue;
         }
-        if other.redirect_target.as_ref() == Some(target) {
+        if other.redirect_target.as_deref() == Some(target) {
             return RedirectVerdict::Erroneous {
                 shared_target: target.clone(),
             };

@@ -5,9 +5,10 @@
 //! lives here, in the lowest crate that depends on all three. Every
 //! command, the server and the repro binaries lower a scenario right after
 //! generating it and run over the world from then on. The three link tables
-//! come from the [`Dataset::march`], [`Dataset::september`] and
-//! [`Dataset::all_tagged`] constructors, so a world decoded from a snapshot
-//! and one lowered in memory answer bit-identically.
+//! are the [`Dataset::march`], [`Dataset::september`] and
+//! [`Dataset::all_tagged`] samples, taken in one walk of the category by
+//! [`Dataset::samples`], so a world decoded from a snapshot and one lowered
+//! in memory answer bit-identically.
 //!
 //! [`load_or_generate`] is the `--world-cache` entry point the CLI and the
 //! repro binaries share: hit → decode the snapshot (no wiki replay at all);
@@ -28,9 +29,7 @@ use std::path::{Path, PathBuf};
 /// one every saved snapshot carries.
 pub fn world_from_scenario(scenario: Scenario, scale: &str) -> World {
     let (sample, seed) = (scenario.config.sample_size, scenario.config.seed);
-    let march = Dataset::march(&scenario.wiki, sample, seed);
-    let september = Dataset::september(&scenario.wiki, sample, seed);
-    let all = Dataset::all_tagged(&scenario.wiki);
+    let (march, september, all) = Dataset::samples(&scenario.wiki, sample, seed);
 
     let mut interner = Interner::new();
     let march = march.to_table(&mut interner);

@@ -24,57 +24,65 @@ use crate::parse::Url;
 
 /// Normalize a URL per the rules above.
 pub fn normalize(url: &Url) -> Url {
-    let path = normalize_path(url.path());
-    let query = match url.query() {
-        Some("") | None => None,
-        Some(q) => Some(normalize_percent(q)),
-    };
+    let mut path = String::with_capacity(url.path().len());
+    push_normalized_path(&mut path, url.path());
+    let query = url.query().filter(|q| !q.is_empty()).map(|q| {
+        let mut s = String::with_capacity(q.len());
+        push_percent_normalized(&mut s, q);
+        s
+    });
     // with_path/with_query drop query and fragment respectively, so the
     // rebuild order matters: path first, then re-attach the query.
     url.with_path(&path).with_query(query.as_deref())
 }
 
-/// Collapse duplicate slashes, resolve dot segments, normalize percent
-/// escapes. Always returns a path starting with `/`.
-fn normalize_path(path: &str) -> String {
-    let collapsed = normalize_percent(path);
-    let mut out: Vec<&str> = Vec::new();
-    for seg in collapsed.split('/') {
-        match seg {
-            "" | "." => {}
+/// Append `path` with duplicate slashes collapsed, dot segments resolved
+/// and percent escapes normalized. Always appends a path starting with `/`.
+///
+/// Escapes are normalized segment by segment as they are appended: an
+/// escape never decodes to `/` (it is reserved), so the segments are the
+/// raw path's, and a segment that decodes to `.` or `..` is taken back.
+pub(crate) fn push_normalized_path(out: &mut String, path: &str) {
+    let base = out.len();
+    for raw in path.split('/') {
+        let start = out.len();
+        out.push('/');
+        push_percent_normalized(out, raw);
+        match &out[start + 1..] {
+            "" | "." => out.truncate(start),
             ".." => {
-                out.pop();
+                out.truncate(start);
+                let parent = out[base..].rfind('/').map_or(base, |i| base + i);
+                out.truncate(parent);
             }
-            s => out.push(s),
+            _ => {}
         }
     }
-    let mut s = String::with_capacity(collapsed.len());
-    for seg in &out {
-        s.push('/');
-        s.push_str(seg);
-    }
-    if s.is_empty() {
-        s.push('/');
+    if out.len() == base {
+        out.push('/');
     }
     // preserve a trailing slash: it distinguishes a directory listing from a
     // file on most origins
-    if collapsed.len() > 1 && collapsed.ends_with('/') && !s.ends_with('/') {
-        s.push('/');
+    if path.ends_with('/') && !out.ends_with('/') {
+        out.push('/');
     }
-    s
 }
 
-/// Uppercase hex digits in percent escapes and decode unreserved characters.
-fn normalize_percent(s: &str) -> String {
+/// Append `s` with hex digits in percent escapes uppercased and unreserved
+/// characters decoded. Every other byte is appended as the char of that
+/// value, so a non-ASCII character comes out as one Latin-1 char per UTF-8
+/// byte.
+pub(crate) fn push_percent_normalized(out: &mut String, s: &str) {
+    if !s.bytes().any(|b| b == b'%' || !b.is_ascii()) {
+        out.push_str(s);
+        return;
+    }
     let bytes = s.as_bytes();
-    let mut out = String::with_capacity(s.len());
+    let hex = |i: usize| bytes.get(i).and_then(|b| (*b as char).to_digit(16));
     let mut i = 0;
     while i < bytes.len() {
-        if bytes[i] == b'%' && i + 2 < bytes.len() + 1 && i + 2 < bytes.len() + 1 {
-            if let (Some(h), Some(l)) = (
-                bytes.get(i + 1).and_then(|b| (*b as char).to_digit(16)),
-                bytes.get(i + 2).and_then(|b| (*b as char).to_digit(16)),
-            ) {
+        if bytes[i] == b'%' {
+            if let (Some(h), Some(l)) = (hex(i + 1), hex(i + 2)) {
                 let v = (h * 16 + l) as u8;
                 if is_unreserved(v) {
                     out.push(v as char);
@@ -90,7 +98,6 @@ fn normalize_percent(s: &str) -> String {
         out.push(bytes[i] as char);
         i += 1;
     }
-    out
 }
 
 /// RFC 3986 unreserved characters: never need escaping.

@@ -7,7 +7,7 @@
 
 use permadead_url::Fnv1a;
 use std::fmt;
-use std::io::{self, Read};
+use std::io::{self, Read, Write};
 
 /// Errors from decoding a snapshot stream.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -66,21 +66,45 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-/// Append-only encoder with a running checksum.
+/// Append-only encoder with a running checksum, over any byte sink: a
+/// `Vec` ([`Writer::new`]), or a file through a `BufWriter`
+/// ([`Writer::to`]). The first write error is kept and every later write
+/// skipped; [`Writer::finish`] returns it.
 #[derive(Debug)]
-pub struct Writer {
-    buf: Vec<u8>,
+pub struct Writer<W = Vec<u8>> {
+    out: W,
     hash: Fnv1a,
+    error: Option<io::Error>,
 }
 
 impl Writer {
     pub fn new() -> Self {
-        Writer { buf: Vec::new(), hash: Fnv1a::new() }
+        Writer::to(Vec::new())
+    }
+}
+
+impl<W: Write> Writer<W> {
+    /// Encode into `out`.
+    pub fn to(out: W) -> Self {
+        Writer {
+            out,
+            hash: Fnv1a::new(),
+            error: None,
+        }
     }
 
     fn raw(&mut self, bytes: &[u8]) {
         self.hash.write(bytes);
-        self.buf.extend_from_slice(bytes);
+        self.put(bytes);
+    }
+
+    /// Write `bytes` unhashed, unless an earlier write failed.
+    fn put(&mut self, bytes: &[u8]) {
+        if self.error.is_none() {
+            if let Err(e) = self.out.write_all(bytes) {
+                self.error = Some(e);
+            }
+        }
     }
 
     pub fn bytes(&mut self, bytes: &[u8]) {
@@ -128,11 +152,15 @@ impl Writer {
     }
 
     /// Finish the stream: append the checksum over everything written so far
-    /// (the checksum itself is not hashed) and return the bytes.
-    pub fn finish(mut self) -> Vec<u8> {
+    /// (the checksum itself is not hashed) and return the sink, or the first
+    /// write error.
+    pub fn finish(mut self) -> io::Result<W> {
         let h = self.hash.finish();
-        self.buf.extend_from_slice(&h.to_le_bytes());
-        self.buf
+        self.put(&h.to_le_bytes());
+        match self.error {
+            Some(e) => Err(e),
+            None => Ok(self.out),
+        }
     }
 }
 
@@ -305,7 +333,7 @@ mod tests {
         w.f64(0.25);
         w.bool(true);
         w.str("héllo");
-        let buf = w.finish();
+        let buf = w.finish().unwrap();
 
         let mut r = Reader::new(&buf);
         assert_eq!(r.u8().unwrap(), 7);
@@ -323,7 +351,7 @@ mod tests {
     fn corruption_is_caught() {
         let mut w = Writer::new();
         w.str("payload");
-        let mut buf = w.finish();
+        let mut buf = w.finish().unwrap();
         buf[5] ^= 0x01;
         let mut r = Reader::new(&buf);
         let _ = r.str();
@@ -334,7 +362,7 @@ mod tests {
     fn truncation_is_caught() {
         let mut w = Writer::new();
         w.u64(1);
-        let buf = w.finish();
+        let buf = w.finish().unwrap();
         let mut r = Reader::new(&buf[..7]);
         assert!(matches!(r.u64(), Err(CodecError::UnexpectedEof { .. })));
     }
@@ -343,7 +371,7 @@ mod tests {
     fn trailing_bytes_rejected() {
         let mut w = Writer::new();
         w.u8(1);
-        let mut buf = w.finish();
+        let mut buf = w.finish().unwrap();
         buf.push(0);
         let mut r = Reader::new(&buf);
         r.u8().unwrap();
@@ -355,7 +383,7 @@ mod tests {
         let mut w = Writer::new();
         w.len(3);
         w.bytes(&[0; 12]);
-        let buf = w.finish();
+        let buf = w.finish().unwrap();
         // 12 payload bytes + the 8-byte trailer are left after the prefix
         assert_eq!(Reader::new(&buf).count(4), Ok(3));
         assert_eq!(Reader::new(&buf).count(6), Ok(3));
@@ -365,7 +393,7 @@ mod tests {
         );
         let mut w = Writer::new();
         w.u32(u32::MAX);
-        let buf = w.finish();
+        let buf = w.finish().unwrap();
         assert!(matches!(Reader::new(&buf).count(1), Err(CodecError::CountTooLarge { .. })));
     }
 
@@ -389,7 +417,7 @@ mod tests {
         w.len(2);
         w.u64(9);
         w.u64(10);
-        let buf = w.finish();
+        let buf = w.finish().unwrap();
         let mut r = Reader::from_stream(Trickle(&buf), buf.len() as u64);
         assert_eq!(r.u32(), Ok(0xDEAD_BEEF));
         assert_eq!(r.str().as_deref(), Ok("héllo"));
@@ -422,11 +450,55 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_write_is_returned_by_finish() {
+        /// Takes `room` bytes, then fails every write.
+        struct Full {
+            room: usize,
+        }
+        impl Write for Full {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                if self.room == 0 {
+                    return Err(io::Error::other("disk full"));
+                }
+                let n = buf.len().min(self.room);
+                self.room -= n;
+                Ok(n)
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = Writer::to(Full { room: 6 });
+        w.u32(1);
+        w.str("more than fits");
+        w.u64(2);
+        assert_eq!(w.finish().map(|_| ()).unwrap_err().to_string(), "disk full");
+        // the checksum alone overflows a sink with no room for it
+        let w = Writer::to(Full { room: 4 });
+        assert!(w.finish().is_err());
+    }
+
+    #[test]
+    fn a_streamed_encoding_equals_the_buffered_one() {
+        fn encode<W: Write>(w: &mut Writer<W>) {
+            w.u32(0xDEAD_BEEF);
+            w.str("héllo");
+            w.f64(-0.5);
+        }
+        let mut buffered = Writer::new();
+        encode(&mut buffered);
+        let mut streamed = Writer::to(io::BufWriter::with_capacity(3, Vec::new()));
+        encode(&mut streamed);
+        let streamed = streamed.finish().unwrap().into_inner().unwrap();
+        assert_eq!(streamed, buffered.finish().unwrap());
+    }
+
+    #[test]
     fn nan_round_trips_bit_exact() {
         let weird = f64::from_bits(0x7ff8_0000_0000_1234);
         let mut w = Writer::new();
         w.f64(weird);
-        let buf = w.finish();
+        let buf = w.finish().unwrap();
         let mut r = Reader::new(&buf);
         assert_eq!(r.f64().unwrap().to_bits(), weird.to_bits());
     }

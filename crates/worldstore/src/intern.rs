@@ -9,8 +9,12 @@
 //! Symbols are allocated densely in first-intern order, which makes the
 //! interner trivially serializable: write the strings in symbol order, and
 //! on load each string re-interns to the same symbol.
+//!
+//! Each string is held once, in the arena: the symbol table is an
+//! [`IdTable`] of symbols keyed by the FNV-1a hash of their strings, and a
+//! probe compares against the arena.
 
-use std::collections::HashMap;
+use permadead_url::{fnv1a, IdTable};
 use std::fmt;
 
 /// A symbol: an index into the interner's offset table.
@@ -29,8 +33,17 @@ pub struct Interner {
     /// `ends[i]` = one-past-the-end offset of symbol `i`'s bytes in `arena`
     /// (its start is `ends[i-1]`, or 0 for symbol 0).
     ends: Vec<u32>,
-    /// string → symbol, for dedup on intern.
-    lookup: HashMap<String, Sym>,
+    /// Symbols keyed by their strings' hashes, for dedup on intern.
+    table: IdTable,
+}
+
+/// Symbol `i`'s bytes in `arena`.
+fn slice<'a>(arena: &'a str, ends: &[u32], i: u32) -> Option<&'a str> {
+    let end = *ends.get(i as usize)? as usize;
+    let start = i
+        .checked_sub(1)
+        .map_or(0, |prev| ends[prev as usize] as usize);
+    arena.get(start..end)
 }
 
 impl Interner {
@@ -38,22 +51,53 @@ impl Interner {
         Self::default()
     }
 
+    /// An interner that takes `n` distinct strings without rehashing its
+    /// table or growing its offsets (a decoder's count).
+    pub(crate) fn with_capacity(n: usize) -> Self {
+        Interner {
+            arena: String::new(),
+            ends: Vec::with_capacity(n),
+            table: IdTable::with_capacity(n),
+        }
+    }
+
     /// Intern `s`, returning its symbol (existing or freshly allocated).
     pub fn intern(&mut self, s: &str) -> Sym {
-        if let Some(&sym) = self.lookup.get(s) {
+        let hash = fnv1a(s.as_bytes());
+        if let Some(sym) = self.find(hash, s) {
             return sym;
         }
         let sym = Sym(u32::try_from(self.ends.len()).expect("interner full"));
         self.arena.push_str(s);
         let end = u32::try_from(self.arena.len()).expect("arena overflow");
         self.ends.push(end);
-        self.lookup.insert(s.to_string(), sym);
+        let (arena, ends) = (&self.arena, &self.ends);
+        self.table.insert(hash, sym.0, |i| {
+            fnv1a(
+                slice(arena, ends, i)
+                    .expect("a stored symbol resolves")
+                    .as_bytes(),
+            )
+        });
         sym
+    }
+
+    fn find(&self, hash: u64, s: &str) -> Option<Sym> {
+        self.table
+            .find(hash, |i| self.try_resolve(Sym(i)) == Some(s))
+            .map(Sym)
     }
 
     /// The symbol for `s`, if it has ever been interned.
     pub fn get(&self, s: &str) -> Option<Sym> {
-        self.lookup.get(s).copied()
+        self.find(fnv1a(s.as_bytes()), s)
+    }
+
+    /// Release the arena's and the offsets' spare capacity (after a load,
+    /// when no more strings are coming).
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.arena.shrink_to_fit();
+        self.ends.shrink_to_fit();
     }
 
     /// The string behind `sym`. Panics on a symbol from another interner.
@@ -66,10 +110,7 @@ impl Interner {
     /// untrusted bytes: a corrupted snapshot must surface a decode error,
     /// not an out-of-bounds panic.
     pub fn try_resolve(&self, sym: Sym) -> Option<&str> {
-        let i = sym.0 as usize;
-        let end = *self.ends.get(i)? as usize;
-        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
-        self.arena.get(start..end)
+        slice(&self.arena, &self.ends, sym.0)
     }
 
     /// Number of distinct strings interned.
@@ -139,6 +180,51 @@ mod tests {
         }
         let all: Vec<&str> = i.iter().collect();
         assert_eq!(all, vec!["a", "b", "c"]);
+    }
+
+    #[test]
+    fn get_finds_only_what_was_interned() {
+        let mut i = Interner::new();
+        assert_eq!(i.get(""), None, "an empty interner holds nothing");
+        assert_eq!(i.get("x"), None);
+        let x = i.intern("x");
+        assert_eq!(i.get("x"), Some(x));
+        assert_eq!(i.get(""), None, "the empty string is absent until interned");
+        assert_eq!(i.get("xx"), None);
+        let e = i.intern("");
+        assert_eq!(i.get(""), Some(e));
+        assert_eq!(i.len(), 2, "get interns nothing");
+    }
+
+    #[test]
+    fn reinterning_after_growth_returns_the_first_symbols() {
+        let mut i = Interner::new();
+        let names: Vec<String> = (0..5000).map(|n| format!("http://e.org/{n}")).collect();
+        let syms: Vec<Sym> = names.iter().map(|s| i.intern(s)).collect();
+        // the table grew many times over: every string still finds its symbol
+        for (s, &sym) in names.iter().zip(&syms) {
+            assert_eq!(i.intern(s), sym);
+            assert_eq!(i.get(s), Some(sym));
+            assert_eq!(i.resolve(sym), s);
+        }
+        assert_eq!(i.len(), names.len());
+        assert_eq!(i.get("http://e.org/5000"), None);
+    }
+
+    #[test]
+    fn a_presized_interner_interns_alike() {
+        let mut sized = Interner::with_capacity(3);
+        let mut grown = Interner::new();
+        for s in ["b", "", "a", "b", ""] {
+            assert_eq!(sized.intern(s), grown.intern(s));
+        }
+        sized.shrink_to_fit();
+        assert_eq!(sized.iter().collect::<Vec<_>>(), ["b", "", "a"]);
+        assert_eq!(
+            sized.intern("c"),
+            Sym(3),
+            "interning goes on after a shrink"
+        );
     }
 
     proptest! {

@@ -34,7 +34,7 @@ use permadead_url::Url;
 use permadead_web::{LiveWeb, Page, PageEvent, PageId, Site, SiteId, SiteLifecycle, UnknownPathPolicy};
 use std::fmt;
 use std::fs::File;
-use std::io::{self, BufReader, Read};
+use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 use std::time::{Duration, Instant};
 
@@ -263,7 +263,14 @@ impl World {
 
     /// Serialize to the versioned binary snapshot format.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::new();
+        self.encode(Writer::new())
+            .finish()
+            .expect("writing to a Vec cannot fail")
+    }
+
+    /// Write the snapshot through `w`; [`Writer::finish`] then appends the
+    /// checksum.
+    fn encode<W: Write>(&self, mut w: Writer<W>) -> Writer<W> {
         w.bytes(&MAGIC);
         w.u32(FORMAT_VERSION);
 
@@ -405,8 +412,7 @@ impl World {
             }
             None => w.bool(false),
         }
-
-        w.finish()
+        w
     }
 
     /// Decode a snapshot produced by [`World::to_bytes`].
@@ -453,10 +459,11 @@ impl World {
         sections.close("header", r.position());
 
         let n_strings = r.count(min_bytes::STRING)?;
-        let mut interner = Interner::new();
+        let mut interner = Interner::with_capacity(n_strings);
         for _ in 0..n_strings {
             interner.intern(&r.str()?);
         }
+        interner.shrink_to_fit();
         sections.close("interner", r.position());
 
         let march = read_table(r)?;
@@ -491,14 +498,21 @@ impl World {
         Ok(World { meta, interner, march, september, all_tagged, web, archive, rescue })
     }
 
-    /// Write the snapshot to `path` (atomically: temp file + rename).
+    /// Write the snapshot to `path` (atomically: temp file + rename),
+    /// encoding it as it streams out: the snapshot is never resident whole.
     /// Returns the snapshot size in bytes.
     pub fn save(&self, path: &Path) -> io::Result<u64> {
-        let bytes = self.to_bytes();
         let tmp = path.with_extension("pdw.tmp");
-        std::fs::write(&tmp, &bytes)?;
+        let out = BufWriter::with_capacity(1 << 16, File::create(&tmp)?);
+        let file = self
+            .encode(Writer::to(out))
+            .finish()?
+            .into_inner()
+            .map_err(|e| e.into_error())?;
+        let size = file.metadata()?.len();
+        drop(file);
         std::fs::rename(&tmp, path)?;
-        Ok(bytes.len() as u64)
+        Ok(size)
     }
 
     /// Read a snapshot from `path`, decoding it as it streams in: the file
@@ -530,7 +544,7 @@ impl World {
     }
 }
 
-fn write_table(w: &mut Writer, t: &LinkTable) {
+fn write_table(w: &mut Writer<impl Write>, t: &LinkTable) {
     w.str(&t.label);
     w.len(t.len());
     for row in t.rows() {
@@ -544,12 +558,14 @@ fn write_table(w: &mut Writer, t: &LinkTable) {
 
 /// Read a symbol and resolve it against the decoded interner, surfacing a
 /// decode error (not a panic) when corrupted bytes point outside it.
-fn read_sym_str(r: &mut Reader<impl Read>, interner: &Interner) -> Result<String, CodecError> {
+fn read_sym_str<'i>(
+    r: &mut Reader<impl Read>,
+    interner: &'i Interner,
+) -> Result<&'i str, CodecError> {
     let at = r.position();
     let sym = Sym(r.u32()?);
     interner
         .try_resolve(sym)
-        .map(str::to_string)
         .ok_or(CodecError::BadSymbol { at, sym: sym.0 })
 }
 
@@ -581,7 +597,7 @@ fn read_web(
         let at = r.position();
         let host = read_sym_str(r, interner)?;
         let rank = r.u32()?;
-        web.ranks.try_insert(&host, rank).map_err(invalid(at))?;
+        web.ranks.try_insert(host, rank).map_err(invalid(at))?;
     }
 
     let n_zones = r.count(min_bytes::ZONE)?;
@@ -601,7 +617,7 @@ fn read_web(
             };
             tl.try_push(at, state).map_err(invalid(state_at))?;
         }
-        web.dns.insert(&host, tl);
+        web.dns.insert(host, tl);
     }
 
     let n_sites = r.count(min_bytes::SITE)?;
@@ -613,7 +629,7 @@ fn read_web(
         let lifecycle = SiteLifecycle { founded, parked_from };
         let tag_at = r.position();
         let initial = read_policy(r.u8()?, tag_at)?;
-        let mut site = Site::new(id, &host, lifecycle, initial);
+        let mut site = Site::new(id, host, lifecycle, initial);
         let n_changes = r.count(min_bytes::POLICY_CHANGE)?;
         for _ in 0..n_changes {
             let change_at = r.position();
@@ -659,13 +675,15 @@ fn invalid(at: usize) -> impl FnOnce(&'static str) -> CodecError {
 fn read_snapshot(r: &mut Reader<impl Read>, interner: &Interner) -> Result<Snapshot, CodecError> {
     let url_at = r.position();
     let url_str = read_sym_str(r, interner)?;
-    let url = Url::parse(&url_str).map_err(|_| CodecError::BadUtf8 { at: url_at })?;
+    let url = Url::parse(url_str).map_err(|_| CodecError::BadUtf8 { at: url_at })?;
     let captured = SimTime(r.i64()?);
     let initial_status = StatusCode(r.u16()?);
     let redirect_target = if r.bool()? {
         let t_at = r.position();
         let t_str = read_sym_str(r, interner)?;
-        Some(Url::parse(&t_str).map_err(|_| CodecError::BadUtf8 { at: t_at })?)
+        Some(Box::new(
+            Url::parse(t_str).map_err(|_| CodecError::BadUtf8 { at: t_at })?,
+        ))
     } else {
         None
     };
@@ -741,7 +759,7 @@ fn read_fault(tag: u8, at: usize) -> Result<Fault, CodecError> {
     })
 }
 
-fn write_faults(w: &mut Writer, f: &FaultProfile) {
+fn write_faults(w: &mut Writer<impl Write>, f: &FaultProfile) {
     w.u64(f.seed());
     w.f64(f.timeout_p);
     w.f64(f.unavailable_p);
@@ -1080,6 +1098,8 @@ mod tests {
         let path = dir.join("unit.pdw");
         let size = world.save(&path).unwrap();
         assert_eq!(size, std::fs::metadata(&path).unwrap().len());
+        let saved = std::fs::read(&path).unwrap();
+        assert!(saved == world.to_bytes(), "the streamed save writes to_bytes's bytes");
         let mut streamed = Vec::new();
         let loaded = World::load_with_sections(&path, |s| streamed.push(s.clone())).unwrap();
         assert_eq!(loaded.to_bytes(), world.to_bytes());

@@ -199,6 +199,23 @@ if ! awk "$world_num"'
     echo "check.sh: the snapshot load's heap peak is over 110% of what it keeps" >&2
     exit 1
 fi
+# ...and keeps no more than the committed results say: the small-scale
+# load's live heap may exceed results/BENCH_world.json's small-scale
+# world/load heap_bytes by at most 2%. The counting allocator's bytes repeat
+# exactly run to run for one build; the band absorbs toolchain drift, not
+# noise.
+committed_heap="$(awk "$world_num"'
+    /"bench":"world\/load"/ && /"scale":"small"/ { print num("heap_bytes") }
+' results/BENCH_world.json)"
+load_heap="$(awk "$world_num"'
+    /"bench":"world\/load"/ { print num("heap_bytes") }
+' "$results_tmp/BENCH_world.json")"
+echo "check.sh: small-scale load keeps ${load_heap} heap bytes (committed ${committed_heap})"
+if ! awk -v live="$load_heap" -v committed="$committed_heap" \
+    'BEGIN { exit !(committed > 0 && live > 0 && live <= 1.02 * committed) }'; then
+    echo "check.sh: the small-scale load keeps ${load_heap} heap bytes, over 102% of the committed ${committed_heap}" >&2
+    exit 1
+fi
 rm -rf "$world_dir" "$results_tmp" "$audit_nocache" "$audit_miss" "$audit_hit" "$cache_log"
 echo "check.sh: world-cache round trip green"
 
