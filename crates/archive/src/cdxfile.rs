@@ -129,9 +129,11 @@ impl std::error::Error for CdxParseError {}
 
 /// Parse a CDX dump back into a store. Empty lines and `#` comments are
 /// skipped; any malformed line is an error (an archive index must not be
-/// silently lossy).
+/// silently lossy). The rows are collected in one bulk build, so a dump in
+/// key order appends each with no search and one in any other order is
+/// sorted.
 pub fn from_cdx_string(text: &str) -> Result<ArchiveStore, CdxParseError> {
-    let mut store = ArchiveStore::new();
+    let mut rows = Vec::new();
     for (i, raw) in text.lines().enumerate() {
         let line_no = i + 1;
         let line = raw.trim();
@@ -198,7 +200,7 @@ pub fn from_cdx_string(text: &str) -> Result<ArchiveStore, CdxParseError> {
             line: line_no,
             field: "title",
         })?;
-        store.insert(Snapshot {
+        rows.push(Snapshot {
             url: url.clone(),
             surt: permadead_url::surt(&url),
             captured,
@@ -209,7 +211,7 @@ pub fn from_cdx_string(text: &str) -> Result<ArchiveStore, CdxParseError> {
             title,
         });
     }
-    Ok(store)
+    Ok(rows.into_iter().collect())
 }
 
 /// `yyyymmddhhmmss`, the Wayback timestamp format.

@@ -9,8 +9,11 @@
 //! is its insertion seq. The index over them stores no strings: it holds row
 //! ids and compares against the SURT each row already holds.
 //!
-//! - **Captures:** each URL's rows form a chain in (captured, seq) order.
-//! - **URLs:** a hash table maps each SURT to its URL's first capture.
+//! - **Captures:** each URL's rows form a ring in (captured, seq) order, its
+//!   last capture linking back to its first.
+//! - **URLs:** a hash table maps each SURT to its URL's last capture, so a
+//!   capture later than every other (the crawler's order) links in with no
+//!   walk, and the first is one link away.
 //! - **Hosts:** each host lists its URLs' first captures in SURT order, the
 //!   hosts are listed in key order, and a hash table maps each host key to
 //!   its host.
@@ -25,7 +28,7 @@ use permadead_net::metrics::Counter;
 use permadead_net::SimTime;
 use permadead_url::{fnv1a, Fnv1a, IdTable, Url};
 
-/// The end of a capture chain.
+/// No row: an empty scan, a link not yet made.
 const NIL: u32 = u32::MAX;
 
 /// The host key of a SURT: everything up to and including its first `)/`.
@@ -39,9 +42,9 @@ pub struct ArchiveStore {
     /// Every capture, in insertion order.
     rows: Vec<Snapshot>,
     /// `next[row]`: the row's URL's next capture in (captured, seq) order,
-    /// or [`NIL`].
+    /// or, from its last capture, its first.
     next: Vec<u32>,
-    /// SURT → the URL's first capture.
+    /// SURT → the URL's last capture.
     urls: IdTable,
     /// Per host, in first-insert order: its URLs' first captures in SURT
     /// order.
@@ -69,7 +72,12 @@ impl ArchiveStore {
     /// Insert a capture.
     pub fn insert(&mut self, snapshot: Snapshot) {
         let row = self.push(snapshot);
-        self.index(row);
+        let surt = self.surt(row);
+        let hash = fnv1a(surt.as_bytes());
+        match self.last(hash, surt) {
+            Some(last) => self.add_capture(last, row, hash),
+            None => self.add_url(row, hash),
+        }
     }
 
     /// Append a row to the arena, unlinked, returning its id.
@@ -87,7 +95,13 @@ impl ArchiveStore {
         &self.rows[row as usize].surt
     }
 
-    /// A row's place in key order, short of its SURT.
+    /// A row's place in key order, short of its seq.
+    fn key(&self, row: u32) -> (&str, SimTime) {
+        let r = &self.rows[row as usize];
+        (&r.surt, r.captured)
+    }
+
+    /// A row's place among its URL's captures.
     fn capture_key(&self, row: u32) -> (SimTime, u32) {
         (self.rows[row as usize].captured, row)
     }
@@ -96,8 +110,8 @@ impl ArchiveStore {
         host_key(self.surt(self.hosts[host as usize][0]))
     }
 
-    /// The first capture of the URL with this SURT, `hash` being its hash.
-    fn head(&self, hash: u64, surt: &str) -> Option<u32> {
+    /// The last capture of the URL with this SURT, `hash` being its hash.
+    fn last(&self, hash: u64, surt: &str) -> Option<u32> {
         self.urls.find(hash, |row| self.surt(row) == surt)
     }
 
@@ -106,48 +120,48 @@ impl ArchiveStore {
         self.host_keys.find(hash, |host| is(self.host_key_of(host)))
     }
 
-    /// Link an arena row into the index.
-    fn index(&mut self, row: u32) {
-        let surt = self.surt(row);
-        let hash = fnv1a(surt.as_bytes());
-        match self.head(hash, surt) {
-            Some(head) => self.add_capture(head, row, hash),
-            None => self.add_url(row, hash),
-        }
+    /// Link `row` into a capture ring right after `at`.
+    fn link(&mut self, at: u32, row: u32) {
+        self.next[row as usize] = self.next[at as usize];
+        self.next[at as usize] = row;
     }
 
-    /// Link `row` into the capture chain that starts at `head`.
-    fn add_capture(&mut self, head: u32, row: u32, hash: u64) {
+    /// Link `row` into the capture ring whose last capture is `last`.
+    fn add_capture(&mut self, last: u32, row: u32, hash: u64) {
         let key = self.capture_key(row);
-        if key < self.capture_key(head) {
-            // the URL's new first capture: it takes the old head's place in
-            // the URL table and in its host's list
-            self.next[row as usize] = head;
-            self.urls.replace(hash, head, row);
+        if key > self.capture_key(last) {
+            // the URL's new last capture
+            self.link(last, row);
+            self.urls.replace(hash, last, row);
+            return;
+        }
+        // walk from the last capture round to the first and on, to the one
+        // `row` goes after: `row` is earlier than `last`, so the walk stops
+        // before it comes back round to it
+        let mut at = last;
+        while self.capture_key(self.next[at as usize]) < key {
+            at = self.next[at as usize];
+        }
+        self.link(at, row);
+        if at == last {
+            // the URL's new first capture: it takes the old one's place in
+            // its host's list
             let surt = self.surt(row);
-            let key = host_key(surt);
+            let host_key = host_key(surt);
             let host = self
-                .host(fnv1a(key.as_bytes()), |k| k == key)
+                .host(fnv1a(host_key.as_bytes()), |k| k == host_key)
                 .expect("an indexed URL's host is indexed") as usize;
             let at = self.hosts[host]
                 .binary_search_by(|&r| self.surt(r).cmp(surt))
                 .expect("an indexed URL is in its host's list");
             self.hosts[host][at] = row;
-            return;
         }
-        let mut at = head;
-        while self.next[at as usize] != NIL && self.capture_key(self.next[at as usize]) < key {
-            at = self.next[at as usize];
-        }
-        self.next[row as usize] = self.next[at as usize];
-        self.next[at as usize] = row;
     }
 
-    /// Index `row` as the first capture of a URL the store has not seen.
+    /// Index `row` as the only capture of a URL the store has not seen.
     fn add_url(&mut self, row: u32, hash: u64) {
-        let rows = &self.rows;
-        self.urls
-            .insert(hash, row, |r| fnv1a(rows[r as usize].surt.as_bytes()));
+        self.next[row as usize] = row;
+        self.add_last(hash, row);
         let surt = self.surt(row);
         let key = host_key(surt);
         let key_hash = fnv1a(key.as_bytes());
@@ -166,6 +180,14 @@ impl ArchiveStore {
         }
     }
 
+    /// Enter `row` in the URL table as its URL's last capture, `hash` being
+    /// the hash of its SURT.
+    fn add_last(&mut self, hash: u64, row: u32) {
+        let rows = &self.rows;
+        self.urls
+            .insert(hash, row, |r| fnv1a(rows[r as usize].surt.as_bytes()));
+    }
+
     /// Start a host whose first URL's first capture is `row`, at `at` in
     /// key order.
     fn add_host(&mut self, row: u32, key_hash: u64, at: usize) {
@@ -180,30 +202,61 @@ impl ArchiveStore {
         self.host_order.insert(at, host);
     }
 
-    /// Index `row`, whose key is at least every indexed row's, the last
-    /// indexed row being `row - 1`: the bulk build's path for input already
-    /// in key order, with no search.
-    fn append(&mut self, row: u32) {
-        let prev = row.checked_sub(1).map(|prev| self.surt(prev));
-        let surt = self.surt(row);
-        if prev == Some(surt) {
-            // the same URL's latest capture: its chain's new tail
-            self.next[row as usize - 1] = row;
-            return;
-        }
-        let hash = fnv1a(surt.as_bytes());
-        let key = host_key(surt);
-        let new_host = (prev.map(host_key) != Some(key)).then(|| fnv1a(key.as_bytes()));
-        let rows = &self.rows;
-        self.urls
-            .insert(hash, row, |r| fnv1a(rows[r as usize].surt.as_bytes()));
-        match new_host {
-            Some(key_hash) => self.add_host(row, key_hash, self.host_order.len()),
-            None => {
-                let last = *self.host_order.last().expect("a row before this one");
-                self.hosts[last as usize].push(row);
+    /// Index `row`, whose key is at least every indexed row's, `prev` being
+    /// the last row indexed: the bulk build's path for rows in key order,
+    /// with no search. A URL enters the URL table when its run of rows ends
+    /// ([`ArchiveStore::close`]), at its last capture.
+    fn append(&mut self, prev: Option<u32>, row: u32) {
+        if let Some(prev) = prev {
+            if self.surt(prev) == self.surt(row) {
+                // the same URL's latest capture
+                self.link(prev, row);
+                return;
             }
+            self.close(prev);
         }
+        self.next[row as usize] = row;
+        let key = host_key(self.surt(row));
+        let new_host = prev.is_none_or(|prev| host_key(self.surt(prev)) != key);
+        if new_host {
+            let key_hash = fnv1a(key.as_bytes());
+            self.add_host(row, key_hash, self.host_order.len());
+        } else {
+            let last = *self.host_order.last().expect("a row before this one");
+            self.hosts[last as usize].push(row);
+        }
+    }
+
+    /// Enter the URL whose run of appended rows ends at `last` in the URL
+    /// table.
+    fn close(&mut self, last: u32) {
+        let hash = fnv1a(self.surt(last).as_bytes());
+        self.add_last(hash, last);
+    }
+
+    /// A store over `rows`, given in any order, indexed by appending them
+    /// in key order: O(n log n), where inserting them one by one could walk
+    /// long capture rings.
+    fn sorted(rows: Vec<Snapshot>) -> ArchiveStore {
+        let n = rows.len();
+        let mut store = ArchiveStore {
+            next: vec![NIL; n],
+            urls: IdTable::with_capacity(n),
+            rows,
+            ..ArchiveStore::default()
+        };
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        // a stable sort: rows with equal keys keep their seq order
+        order.sort_by(|&a, &b| store.key(a).cmp(&store.key(b)));
+        let mut prev = None;
+        for row in order {
+            store.append(prev, row);
+            prev = Some(row);
+        }
+        if let Some(last) = prev {
+            store.close(last);
+        }
+        store
     }
 
     pub fn len(&self) -> usize {
@@ -275,7 +328,9 @@ impl ArchiveStore {
     fn range_by_exact_surt(&self, surt: &str) -> Rows<'_> {
         self.lookups.incr();
         let mut scan = Rows::new(self);
-        scan.row = self.head(fnv1a(surt.as_bytes()), surt).unwrap_or(NIL);
+        if let Some(last) = self.last(fnv1a(surt.as_bytes()), surt) {
+            scan.start(self.next[last as usize]);
+        }
         scan
     }
 
@@ -295,11 +350,14 @@ impl ArchiveStore {
     }
 }
 
-/// Rows in key order: the rest of one URL's capture chain, then the chains
+/// Rows in key order: the rest of one URL's capture ring, then the rings
 /// of the URLs left in one host's list, then those of the hosts left.
 struct Rows<'a> {
     store: &'a ArchiveStore,
+    /// The next row to yield, or [`NIL`].
     row: u32,
+    /// The first capture of `row`'s URL, where its ring closes.
+    first: u32,
     urls: std::slice::Iter<'a, u32>,
     hosts: std::slice::Iter<'a, u32>,
 }
@@ -309,9 +367,16 @@ impl<'a> Rows<'a> {
         Rows {
             store,
             row: NIL,
+            first: NIL,
             urls: [].iter(),
             hosts: [].iter(),
         }
+    }
+
+    /// Walk the ring of the URL whose first capture is `first`.
+    fn start(&mut self, first: u32) {
+        self.row = first;
+        self.first = first;
     }
 }
 
@@ -320,16 +385,17 @@ impl<'a> Iterator for Rows<'a> {
 
     fn next(&mut self) -> Option<&'a Snapshot> {
         while self.row == NIL {
-            if let Some(&head) = self.urls.next() {
-                self.row = head;
+            if let Some(&first) = self.urls.next() {
+                self.start(first);
             } else {
                 let &host = self.hosts.next()?;
                 self.urls = self.store.hosts[host as usize].iter();
             }
         }
-        let row = self.row as usize;
-        self.row = self.store.next[row];
-        Some(&self.store.rows[row])
+        let row = self.row;
+        let next = self.store.next[row as usize];
+        self.row = if next == self.first { NIL } else { next };
+        Some(&self.store.rows[row as usize])
     }
 }
 
@@ -337,9 +403,9 @@ impl<'a> Iterator for Rows<'a> {
 /// [`ArchiveStore::insert`]ing the snapshots one by one in iteration order.
 /// The arena and the URL table are sized from the iterator's upper bound (a
 /// decoder's count, bounded by the bytes left), so neither is reallocated as
-/// it fills. While the input comes in key order (a decoded snapshot) each
-/// row is appended with no search; from the first row out of order on, the
-/// rest are inserted.
+/// it fills. While the input comes in key order (a decoded snapshot, a CDX
+/// dump) each row is appended as it arrives, with no search. Input out of
+/// key order, as hostile input may be, is sorted into it instead.
 impl FromIterator<Snapshot> for ArchiveStore {
     fn from_iter<I: IntoIterator<Item = Snapshot>>(snapshots: I) -> Self {
         let snapshots = snapshots.into_iter();
@@ -354,16 +420,20 @@ impl FromIterator<Snapshot> for ArchiveStore {
         let mut in_order = true;
         for snapshot in snapshots {
             let row = store.push(snapshot);
-            in_order &= row == 0 || {
-                let (prev, new) = (&store.rows[row as usize - 1], &store.rows[row as usize]);
-                (&prev.surt, prev.captured) <= (&new.surt, new.captured)
-            };
+            let prev = row.checked_sub(1);
+            in_order &= prev.is_none_or(|prev| store.key(prev) <= store.key(row));
             if in_order {
-                store.append(row);
-            } else {
-                store.index(row);
+                store.append(prev, row);
             }
         }
+        let mut store = if in_order {
+            if let Some(last) = store.rows.len().checked_sub(1) {
+                store.close(last as u32);
+            }
+            store
+        } else {
+            ArchiveStore::sorted(store.rows)
+        };
         store.rows.shrink_to_fit();
         store.next.shrink_to_fit();
         store
@@ -470,6 +540,16 @@ mod tests {
             .collect()
     }
 
+    /// A Fisher–Yates shuffle driven by an LCG whose state is `draw`.
+    fn shuffle<T>(items: &mut [T], draw: &mut u64) {
+        for i in (1..items.len()).rev() {
+            *draw = draw
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            items.swap(i, (*draw >> 33) as usize % (i + 1));
+        }
+    }
+
     #[test]
     fn collect_matches_one_by_one_inserts() {
         let mut snaps: Vec<Snapshot> = vec![
@@ -489,14 +569,8 @@ mod tests {
         let host = permadead_url::surt_host_prefix("e.org");
         let mut draw = 7u64;
         for round in 0..24 {
-            // out of key order, as hostile input may be: a Fisher–Yates
-            // shuffle driven by an LCG
-            for i in (1..snaps.len()).rev() {
-                draw = draw
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                snaps.swap(i, (draw >> 33) as usize % (i + 1));
-            }
+            // out of key order, as hostile input may be
+            shuffle(&mut snaps, &mut draw);
             let mut inserted = ArchiveStore::new();
             for s in snaps.iter().cloned() {
                 inserted.insert(s);
@@ -616,7 +690,7 @@ mod tests {
         #[test]
         fn every_build_answers_like_a_sorted_scan(
             picks in proptest::collection::vec((0..HOSTS.len(), 0..PATHS.len(), 0..4i32, 0..3usize), 0..48),
-            shuffle in any::<u64>(),
+            seed in any::<u64>(),
             odd in any::<bool>(),
         ) {
             // half the cases keep to hosts with no `)` in their names, where
@@ -631,11 +705,8 @@ mod tests {
                     snap(&url, t(2010 + year, 1), [200, 301, 404][status])
                 })
                 .collect();
-            let mut draw = shuffle;
-            for i in (1..input.len()).rev() {
-                draw = draw.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                input.swap(i, (draw >> 33) as usize % (i + 1));
-            }
+            let mut draw = seed;
+            shuffle(&mut input, &mut draw);
             let mut inserted = ArchiveStore::new();
             for s in input.iter().cloned() {
                 inserted.insert(s);
