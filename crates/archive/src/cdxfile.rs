@@ -129,9 +129,8 @@ impl std::error::Error for CdxParseError {}
 
 /// Parse a CDX dump back into a store. Empty lines and `#` comments are
 /// skipped; any malformed line is an error (an archive index must not be
-/// silently lossy). The rows are collected in one bulk build, so a dump in
-/// key order appends each with no search and one in any other order is
-/// sorted.
+/// silently lossy). The rows are collected in one bulk build, which sorts
+/// them into key order: one linear pass over a dump already in it.
 pub fn from_cdx_string(text: &str) -> Result<ArchiveStore, CdxParseError> {
     let mut rows = Vec::new();
     for (i, raw) in text.lines().enumerate() {

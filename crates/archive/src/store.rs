@@ -192,7 +192,7 @@ impl ArchiveStore {
     /// key order.
     fn add_host(&mut self, row: u32, key_hash: u64, at: usize) {
         let key = host_key(self.surt(row));
-        self.odd_hosts |= key.find(')').map(|i| i + 2) != Some(key.len());
+        self.odd_hosts |= !key.ends_with(")/") || key.find(')') != Some(key.len() - 2);
         let host = u32::try_from(self.hosts.len()).expect("fewer hosts than rows");
         self.hosts.push(vec![row]);
         let (rows, hosts) = (&self.rows, &self.hosts);
@@ -234,31 +234,6 @@ impl ArchiveStore {
         self.add_last(hash, last);
     }
 
-    /// A store over `rows`, given in any order, indexed by appending them
-    /// in key order: O(n log n), where inserting them one by one could walk
-    /// long capture rings.
-    fn sorted(rows: Vec<Snapshot>) -> ArchiveStore {
-        let n = rows.len();
-        let mut store = ArchiveStore {
-            next: vec![NIL; n],
-            urls: IdTable::with_capacity(n),
-            rows,
-            ..ArchiveStore::default()
-        };
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        // a stable sort: rows with equal keys keep their seq order
-        order.sort_by(|&a, &b| store.key(a).cmp(&store.key(b)));
-        let mut prev = None;
-        for row in order {
-            store.append(prev, row);
-            prev = Some(row);
-        }
-        if let Some(last) = prev {
-            store.close(last);
-        }
-        store
-    }
-
     pub fn len(&self) -> usize {
         self.rows.len()
     }
@@ -269,12 +244,17 @@ impl ArchiveStore {
 
     /// All snapshots of exactly this URL, in capture order.
     pub fn snapshots_of(&self, url: &Url) -> Vec<&Snapshot> {
-        self.range_by_exact_surt(&permadead_url::surt(url))
-            .collect()
+        let surt = permadead_url::surt(url);
+        self.range_by_exact_surt(&surt).collect()
     }
 
     /// Snapshots of this URL captured in `[from, to)`.
-    pub fn snapshots_of_between(&self, url: &Url, from: SimTime, to: SimTime) -> Vec<&Snapshot> {
+    pub fn snapshots_of_between(
+        &self,
+        url: &Url,
+        from: SimTime,
+        to: SimTime,
+    ) -> Vec<&Snapshot> {
         self.snapshots_of(url)
             .into_iter()
             .filter(|s| s.captured >= from && s.captured < to)
@@ -283,7 +263,8 @@ impl ArchiveStore {
 
     /// The earliest capture of this URL, if any.
     pub fn first_snapshot_of(&self, url: &Url) -> Option<&Snapshot> {
-        self.range_by_exact_surt(&permadead_url::surt(url)).next()
+        let surt = permadead_url::surt(url);
+        self.range_by_exact_surt(&surt).next()
     }
 
     /// Iterate snapshots whose SURT starts with `prefix`, in key order.
@@ -401,41 +382,36 @@ impl<'a> Iterator for Rows<'a> {
 
 /// Bulk build: the same rows, in the same key order, as
 /// [`ArchiveStore::insert`]ing the snapshots one by one in iteration order.
-/// The arena and the URL table are sized from the iterator's upper bound (a
-/// decoder's count, bounded by the bytes left), so neither is reallocated as
-/// it fills. While the input comes in key order (a decoded snapshot, a CDX
-/// dump) each row is appended as it arrives, with no search. Input out of
-/// key order, as hostile input may be, is sorted into it instead.
+/// The arena is sized from the iterator's upper bound (a decoder's count,
+/// bounded by the bytes left), so it is not reallocated as it fills, and the
+/// URL table from the rows. The rows are then indexed by appending them in
+/// key order: a stable sort, so rows with equal keys keep their seq order,
+/// and one linear pass over input already in key order (a decoded snapshot,
+/// a CDX dump).
 impl FromIterator<Snapshot> for ArchiveStore {
     fn from_iter<I: IntoIterator<Item = Snapshot>>(snapshots: I) -> Self {
         let snapshots = snapshots.into_iter();
         let (lower, upper) = snapshots.size_hint();
-        let n = upper.unwrap_or(lower);
+        let mut rows = Vec::with_capacity(upper.unwrap_or(lower));
+        rows.extend(snapshots);
+        rows.shrink_to_fit();
+        let n = u32::try_from(rows.len()).expect("archive holds fewer than u32::MAX rows");
         let mut store = ArchiveStore {
-            rows: Vec::with_capacity(n),
-            next: Vec::with_capacity(n),
-            urls: IdTable::with_capacity(n),
+            next: vec![NIL; rows.len()],
+            urls: IdTable::with_capacity(rows.len()),
+            rows,
             ..ArchiveStore::default()
         };
-        let mut in_order = true;
-        for snapshot in snapshots {
-            let row = store.push(snapshot);
-            let prev = row.checked_sub(1);
-            in_order &= prev.is_none_or(|prev| store.key(prev) <= store.key(row));
-            if in_order {
-                store.append(prev, row);
-            }
+        let mut order: Vec<u32> = (0..n).collect();
+        order.sort_by(|&a, &b| store.key(a).cmp(&store.key(b)));
+        let mut prev = None;
+        for row in order {
+            store.append(prev, row);
+            prev = Some(row);
         }
-        let mut store = if in_order {
-            if let Some(last) = store.rows.len().checked_sub(1) {
-                store.close(last as u32);
-            }
-            store
-        } else {
-            ArchiveStore::sorted(store.rows)
-        };
-        store.rows.shrink_to_fit();
-        store.next.shrink_to_fit();
+        if let Some(last) = prev {
+            store.close(last);
+        }
         store
     }
 }
@@ -482,9 +458,7 @@ mod tests {
     fn first_snapshot() {
         let s = store();
         assert_eq!(
-            s.first_snapshot_of(&u("http://e.org/dir/a.html"))
-                .unwrap()
-                .captured,
+            s.first_snapshot_of(&u("http://e.org/dir/a.html")).unwrap().captured,
             t(2010, 1)
         );
         assert!(s.first_snapshot_of(&u("http://e.org/never")).is_none());
@@ -536,8 +510,7 @@ mod tests {
 
     /// What a scan reports of each row, in scan order.
     fn seen<'a>(rows: impl Iterator<Item = &'a Snapshot>) -> Vec<(String, SimTime, u16)> {
-        rows.map(|s| (s.surt.clone(), s.captured, s.initial_status.0))
-            .collect()
+        rows.map(|s| (s.surt.clone(), s.captured, s.initial_status.0)).collect()
     }
 
     /// A Fisher–Yates shuffle driven by an LCG whose state is `draw`.
@@ -587,10 +560,7 @@ mod tests {
                     .iter()
                     .filter(|s| s.url == a && s.captured == t(2012, 3))
                     .map(|s| s.initial_status.0);
-                assert!(
-                    ties.iter().copied().eq(&mut in_input),
-                    "round {round}: ties by input"
-                );
+                assert!(ties.iter().copied().eq(&mut in_input), "round {round}: ties by input");
             }
             // each row's full key: no two inputs share (url, time, status),
             // so a row's insertion seq is its input position
@@ -606,15 +576,9 @@ mod tests {
                     .collect::<Vec<_>>()
             };
             assert_eq!(keys(&collected), keys(&inserted), "round {round}");
-            assert_eq!(
-                seen(collected.iter()),
-                seen(inserted.iter()),
-                "round {round}"
-            );
+            assert_eq!(seen(collected.iter()), seen(inserted.iter()), "round {round}");
             let in_order = seen(collected.iter());
-            assert!(in_order
-                .windows(2)
-                .all(|w| (&w[0].0, w[0].1) <= (&w[1].0, w[1].1)));
+            assert!(in_order.windows(2).all(|w| (&w[0].0, w[0].1) <= (&w[1].0, w[1].1)));
             assert_eq!(
                 seen(collected.snapshots_of(&a).into_iter()),
                 seen(inserted.snapshots_of(&a).into_iter()),
@@ -635,9 +599,7 @@ mod tests {
                 assert_eq!(counters, (4, 13), "round {round}");
             }
         }
-        assert!(std::iter::empty::<Snapshot>()
-            .collect::<ArchiveStore>()
-            .is_empty());
+        assert!(std::iter::empty::<Snapshot>().collect::<ArchiveStore>().is_empty());
     }
 
     /// Hosts whose keys share prefixes: a bare domain and its `www.`, a
@@ -748,6 +710,25 @@ mod tests {
                 let lookups = prefixes.len() as u64 + 2 * input.len() as u64 + 1;
                 prop_assert_eq!((store.lookups.get(), store.rows_scanned.get()), (lookups, scanned));
             }
+        }
+    }
+
+    #[test]
+    fn a_key_with_no_slash_is_its_own_host() {
+        // `surt` always closes the host with `)/`; a row built by hand need
+        // not, and then the host prefix `org,e)` also names `org,e)x`
+        let mut odd = snap("http://e.org/x", t(2011, 1), 200);
+        odd.surt = "org,e)x".into();
+        let rows = [snap("http://e.org/", t(2010, 1), 200), odd];
+        let mut inserted = ArchiveStore::new();
+        for s in rows.iter().cloned() {
+            inserted.insert(s);
+        }
+        let collected: ArchiveStore = rows.into_iter().collect();
+        for store in [&inserted, &collected] {
+            let keys: Vec<String> =
+                seen(store.scan_surt_prefix("org,e)")).into_iter().map(|r| r.0).collect();
+            assert_eq!(keys, ["org,e)/", "org,e)x"]);
         }
     }
 

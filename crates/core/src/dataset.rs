@@ -54,28 +54,22 @@ impl Dataset {
     /// The March-style dataset: first `max_articles` category members in
     /// title order, IABot-tagged URLs only, sampled down to `sample`.
     pub fn alphabetical(wiki: &WikiStore, max_articles: usize, sample: usize, seed: u64) -> Dataset {
-        let mut entries = Vec::new();
-        let mut seen: HashSet<Url> = HashSet::new();
-        for article in wiki.permanently_dead_category().into_iter().take(max_articles) {
-            collect_from(article, &mut entries, &mut seen);
-        }
-        sample_down(&mut entries, sample, seed);
-        Dataset {
-            label: "alphabetical".into(),
-            entries,
-        }
+        let articles = wiki.permanently_dead_category().into_iter().take(max_articles);
+        let (entries, _) = tagged_links(articles, 0);
+        Dataset::sampled("alphabetical", entries, sample, seed)
     }
 
     /// The September-style dataset: every tagged URL wiki-wide, sampled.
     pub fn random(wiki: &WikiStore, sample: usize, seed: u64) -> Dataset {
-        let mut entries = Vec::new();
-        let mut seen: HashSet<Url> = HashSet::new();
-        for article in wiki.permanently_dead_category() {
-            collect_from(article, &mut entries, &mut seen);
-        }
+        let (entries, _) = tagged_links(wiki.permanently_dead_category(), 0);
+        Dataset::sampled("random", entries, sample, seed)
+    }
+
+    /// `entries` sampled down to `sample`, labelled `label`.
+    fn sampled(label: &str, mut entries: Vec<DatasetEntry>, sample: usize, seed: u64) -> Dataset {
         sample_down(&mut entries, sample, seed);
         Dataset {
-            label: "random".into(),
+            label: label.into(),
             entries,
         }
     }
@@ -108,31 +102,16 @@ impl Dataset {
     pub fn samples(wiki: &WikiStore, sample: usize, seed: u64) -> (Dataset, Dataset, Dataset) {
         let category = wiki.permanently_dead_category();
         let march = march_articles(category.len());
-        let mut entries = Vec::new();
-        let mut seen: HashSet<Url> = HashSet::new();
-        let mut in_march = 0;
-        for (i, article) in category.into_iter().enumerate() {
-            collect_from(article, &mut entries, &mut seen);
-            if i < march {
-                in_march = entries.len();
-            }
-        }
-        let sampled = |label: &str, mut entries: Vec<DatasetEntry>, sample: usize, seed: u64| {
-            sample_down(&mut entries, sample, seed);
-            Dataset {
-                label: label.into(),
-                entries,
-            }
-        };
+        let (entries, in_march) = tagged_links(category, march);
         (
-            sampled(
+            Dataset::sampled(
                 "alphabetical",
                 entries[..in_march].to_vec(),
                 sample,
                 seed ^ MARCH_SEED,
             ),
-            sampled("random", entries.clone(), sample, seed ^ SEPTEMBER_SEED),
-            sampled("random", entries, usize::MAX, 0),
+            Dataset::sampled("random", entries.clone(), sample, seed ^ SEPTEMBER_SEED),
+            Dataset::sampled("random", entries, usize::MAX, 0),
         )
     }
 
@@ -214,6 +193,25 @@ impl Dataset {
                 .collect(),
         }
     }
+}
+
+/// The walk every sample starts from: each of `articles` in turn gives its
+/// IABot-tagged links, each URL once. Also returns how many of the links
+/// the first `prefix` articles give.
+fn tagged_links<'a>(
+    articles: impl IntoIterator<Item = &'a permadead_wiki::Article>,
+    prefix: usize,
+) -> (Vec<DatasetEntry>, usize) {
+    let mut entries = Vec::new();
+    let mut seen: HashSet<Url> = HashSet::new();
+    let mut in_prefix = 0;
+    for (i, article) in articles.into_iter().enumerate() {
+        collect_from(article, &mut entries, &mut seen);
+        if i < prefix {
+            in_prefix = entries.len();
+        }
+    }
+    (entries, in_prefix)
 }
 
 fn collect_from(

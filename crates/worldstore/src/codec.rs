@@ -205,7 +205,8 @@ impl<R: Read> Reader<R> {
         self.pos
     }
 
-    fn remaining(&self) -> usize {
+    /// Bytes left to read.
+    pub(crate) fn remaining(&self) -> usize {
         self.len.saturating_sub(self.pos)
     }
 

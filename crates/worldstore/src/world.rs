@@ -459,7 +459,12 @@ impl World {
         sections.close("header", r.position());
 
         let n_strings = r.count(min_bytes::STRING)?;
-        let mut interner = Interner::with_capacity(n_strings);
+        // presized for the count only as far as the bytes left back it: a
+        // string costs the presized interner up to 20 bytes (16 of table,
+        // 4 of offset), so a count raised in a corrupted file presizes less
+        // heap than the file holds. A world's strings are far fewer: under
+        // a twentieth of the cap at both scales, seed 42.
+        let mut interner = Interner::with_capacity(n_strings.min(r.remaining() / 32));
         for _ in 0..n_strings {
             interner.intern(&r.str()?);
         }

@@ -8,7 +8,9 @@
 //! it: each collection count raised that way must be rejected where it
 //! stands, before anything is allocated for it. Another flips every bit.
 //! The file-backed cases run the same decoder as it streams a snapshot
-//! from disk through `World::load`.
+//! from disk through `World::load`. A counting allocator checks that a
+//! count the decoder accepts but the bytes cannot fill presizes no more
+//! heap than the file holds.
 
 use permadead::archive::{ArchiveStore, Snapshot};
 use permadead::net::dns::{HostState, HostTimeline};
@@ -21,7 +23,55 @@ use permadead::web::{
     LiveWeb, Page, PageEvent, PageId, Site, SiteId, SiteLifecycle, UnknownPathPolicy,
 };
 use permadead_worldstore::{CodecError, LoadError, RawLink, World, WorldMeta};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::path::PathBuf;
+
+/// The system allocator, counting each thread's live heap bytes and their
+/// high-water mark, so a test reads its own decode's heap while others run.
+/// A realloc counts as a move: the new block and the old one both count
+/// toward the peak.
+struct Counting;
+
+thread_local! {
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+    static PEAK: Cell<isize> = const { Cell::new(0) };
+}
+
+fn counted(bytes: isize) {
+    let live = LIVE.get() + bytes;
+    LIVE.set(live);
+    PEAK.set(PEAK.get().max(live));
+}
+
+// SAFETY: every call is forwarded unchanged to `System`; the counters only
+// observe the sizes.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let ptr = System.alloc(layout);
+        if !ptr.is_null() {
+            counted(layout.size() as isize);
+        }
+        ptr
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+        counted(-(layout.size() as isize));
+    }
+}
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+/// The most heap `f` holds at once on this thread, above what it held
+/// before.
+fn heap_peak<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let base = LIVE.get();
+    PEAK.set(base);
+    let out = f();
+    (out, (PEAK.get() - base) as usize)
+}
 
 fn t(y: i32) -> SimTime {
     SimTime::from_ymd(y, 6, 15)
@@ -179,6 +229,27 @@ fn every_count_raised_to_u32_max_is_rejected_where_it_stands() {
         }
     }
     assert_eq!(rejected.len(), counts_in(&world), "count prefixes rejected at {rejected:?}");
+}
+
+#[test]
+fn a_raised_string_count_presizes_less_heap_than_the_file_holds() {
+    let bytes = world().to_bytes();
+    let (_, sections) = World::from_bytes_with_sections(&bytes).unwrap();
+    assert_eq!((sections[0].name, sections[1].name), ("header", "interner"));
+    // the interner's count opens its section
+    let at = sections[0].bytes;
+    let count = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+
+    // the largest count the decoder accepts: as many strings as the bytes
+    // left hold empty ones
+    let raised = (bytes.len() - at - 4) / 4;
+    assert!(raised > 20 * count as usize, "the raised count is far above the real one");
+    let mut hostile = bytes.clone();
+    hostile[at..at + 4].copy_from_slice(&(raised as u32).to_le_bytes());
+    restamp(&mut hostile);
+    let (decoded, peak) = heap_peak(|| World::from_bytes(&hostile).map(drop));
+    assert!(decoded.is_err(), "the strings run out before the count does");
+    assert!(peak < bytes.len(), "a raised string count held {peak} B for a {} B file", bytes.len());
 }
 
 #[test]
