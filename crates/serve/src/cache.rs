@@ -180,6 +180,21 @@ impl<V: Clone> ShardedCache<V> {
         }
     }
 
+    /// Look up `key` like [`Self::get`], but count and touch a fresh hit
+    /// only: an absent or expired key returns `None` and leaves the entry
+    /// and every counter as they were, so the `get` that follows counts the
+    /// miss (or the expiry) once. The reactor probes with this before it
+    /// hands a `/check` to a worker.
+    pub fn get_hit(&self, key: &str, now: SimTime) -> Option<V> {
+        let mut guard = self.shards[self.shard_of(key)].lock();
+        let shard = &mut *guard;
+        let entry = shard.map.get_mut(key).filter(|e| !self.expired(e.inserted, now))?;
+        shard.tick += 1;
+        entry.last_used = shard.tick;
+        self.hits.incr();
+        Some(entry.value.clone())
+    }
+
     /// Insert (or refresh) `key`. A full shard first sweeps its expired
     /// entries — dead weight only `get` used to reclaim, one key at a time,
     /// so a cold shard full of stale verdicts would evict *fresh* entries to
@@ -270,6 +285,34 @@ mod tests {
         assert_eq!(s.misses, 2);
         assert_eq!(s.entries, 1);
         assert!((s.hit_ratio() - 1.0 / 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn get_hit_counts_and_touches_fresh_hits_only() {
+        // a hit counts once and moves the key up the LRU order as `get`
+        // does: touching a makes b the victim of the next insert
+        let c = tiny(1, 2);
+        c.insert("a", 1, t0());
+        c.insert("b", 2, t0());
+        assert_eq!(c.get_hit("a", t0()), Some(1));
+        assert_eq!((c.stats().hits, c.stats().misses), (1, 0));
+        c.insert("c", 3, t0());
+        assert!(c.contains("a") && !c.contains("b"), "get_hit did not touch a");
+
+        // absent and expired keys: `None`, nothing counted, nothing removed
+        let expired = t0() + Duration::hours(1);
+        assert_eq!(c.get_hit("zz", t0()), None);
+        assert_eq!(c.get_hit("a", expired), None);
+        let s = c.stats();
+        assert_eq!((s.hits, s.misses, s.expirations, s.entries), (1, 0, 0, 2));
+        assert!(c.contains("a"), "get_hit removed an expired entry");
+
+        // the `get` that follows counts the miss and the expiry, once each
+        assert_eq!(c.get("zz", t0()), None);
+        assert_eq!(c.get("a", expired), None);
+        let s = c.stats();
+        assert_eq!((s.hits, s.misses, s.expirations, s.entries), (1, 2, 1, 1));
+        assert!(!c.contains("a"));
     }
 
     #[test]

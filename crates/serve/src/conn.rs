@@ -12,17 +12,23 @@
 //! The state ladder, one request at a time:
 //!
 //! ```text
-//!          bytes                    complete request
-//! Reading ───────► Reading ───────────────────────────► Dispatched
-//!    ▲                │  parse error / EOF / overload        │ worker done
-//!    │                ▼                                      ▼
-//!    │            Writing{close_after:true}              Writing{close_after}
-//!    │                │                                      │
-//!    │                ▼ flushed                              ▼ flushed
-//!    │              close                 keep-alive: back to Reading ──┐
-//!    └──────────────────────────────────────────────────────────────────┘
+//!          bytes               complete request, taken by a worker
+//! Reading ───────► Reading ───────────────────────────────────► Dispatched
+//!    ▲              │    │                                          │
+//!    │              │    │ a /check the verdict cache answers       │ worker done
+//!    │              │    └───────────────────────────────┐          │
+//!    │              │ parse error / EOF / overload        ▼          ▼
+//!    │              ▼                                 Writing{close_after}
+//!    │       Writing{close_after:true}                        │
+//!    │              │                                         ▼ flushed
+//!    │              ▼ flushed                keep-alive: back to Reading ──┐
+//!    │            close                                                    │
+//!    └─────────────────────────────────────────────────────────────────────┘
 //! ```
 //!
+//! A parsed request leaves the connection in `Reading`; the reactor moves
+//! it on. A cached `/check` goes from `Reading` straight to `Writing` on
+//! the reactor thread, and only a request a worker takes is `Dispatched`.
 //! A stalled client therefore holds exactly one buffer and one fd — never
 //! a worker thread.
 
@@ -57,8 +63,8 @@ pub struct Conn<S> {
     write_buf: Vec<u8>,
     written: usize,
     pub state: ConnState,
-    /// Set when a request is dispatched; the latency sample runs from here
-    /// to the response's final flushed byte.
+    /// Set when a request is parsed; the latency sample runs from here to
+    /// the response's final flushed byte.
     pub started: Option<Instant>,
     /// Peer sent FIN: serve what is buffered, then close instead of
     /// returning to `Reading`.
@@ -133,7 +139,6 @@ impl<S: Read + Write> Conn<S> {
                 // drain exactly the request's bytes; a pipelined follow-up
                 // stays buffered for the next cycle
                 self.read_buf.drain(..consumed);
-                self.state = ConnState::Dispatched;
                 self.started = Some(Instant::now());
                 ReadStep::Request(request)
             }
@@ -265,7 +270,10 @@ mod tests {
             ReadStep::Request(req) => assert_eq!(req.path, "/healthz"),
             other => panic!("expected request, got {other:?}"),
         }
-        assert_eq!(conn.state, ConnState::Dispatched);
+        // the reactor, not the parse, moves the connection on: to
+        // `Dispatched` when a worker takes the request, straight to
+        // `Writing` when it answers from the verdict cache
+        assert_eq!(conn.state, ConnState::Reading);
         assert!(conn.started.is_some());
     }
 

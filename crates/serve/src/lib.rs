@@ -10,7 +10,8 @@
 //!   with admission control (`503` + `Retry-After`) when the pending queue
 //!   overflows ([`server`]);
 //! - a sharded TTL+LRU verdict cache so repeated queries never re-drive the
-//!   simulated network ([`cache`]);
+//!   simulated network, probed on the reactor so a hit never waits for a
+//!   worker ([`cache`]);
 //! - the batch pipeline's own per-link unit underneath, with provenance
 //!   resolution that keeps `/check` verdicts bit-identical to `permadead
 //!   audit` for every dataset URL ([`service`]);

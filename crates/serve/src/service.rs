@@ -323,6 +323,17 @@ impl AuditService {
         ))
     }
 
+    /// The body [`Self::check`] would answer from the verdict cache, if it
+    /// holds a fresh verdict for `raw_url` at serving time `now`, counted as
+    /// the hit it is. A miss, an expired entry or an unparseable URL returns
+    /// `None` and counts nothing: the `check` that follows counts it, so
+    /// every query is counted once.
+    pub fn cached(&self, raw_url: &str, now: SimTime) -> Option<String> {
+        let key = Url::parse(raw_url).ok()?.to_string();
+        let core = self.cache.get_hit(&key, now)?;
+        Some(finish_body(&core, true))
+    }
+
     /// Where a URL's provenance and determinism seed come from.
     fn resolve(&self, url: &Url) -> (usize, DatasetEntry, Provenance) {
         let key = url.to_string();
@@ -494,6 +505,24 @@ mod tests {
             first.body.replace("\"cached\":false", ""),
             second.body.replace("\"cached\":true", ""),
         );
+    }
+
+    #[test]
+    fn cached_probe_answers_hits_and_leaves_misses_to_check() {
+        let svc = tiny_service();
+        let now = svc.study_time();
+        let url = svc.dataset().entries[0].url.to_string();
+        assert_eq!(svc.cached(&url, now), None);
+        assert_eq!(svc.cached("not a url at all", now), None);
+        assert_eq!(svc.cache_stats(), CacheStats::default(), "a probe that missed counted");
+
+        let (first, _) = svc.check(&url, now).unwrap();
+        assert!(!first.cached);
+        let probed = svc.cached(&url, now).expect("the verdict is cached now");
+        let (second, _) = svc.check(&url, now).unwrap();
+        assert_eq!(probed, second.body, "the probe answers what a cached check answers");
+        let stats = svc.cache_stats();
+        assert_eq!((stats.hits, stats.misses), (2, 1));
     }
 
     #[test]

@@ -13,6 +13,9 @@
 //! - resolve `.` and `..` path segments;
 //! - uppercase percent-encoding hex digits (`%3a` → `%3A`);
 //! - decode percent-encoded unreserved characters (`%41` → `A`);
+//! - percent-encode each byte of a non-ASCII character (`ü` → `%C3%BC`),
+//!   as Wayback's canonicalizer does, so the raw and the escaped spelling
+//!   share one form;
 //! - drop a lone trailing `?`.
 //!
 //! It does **not** reorder query parameters (order is semantically visible to
@@ -68,10 +71,9 @@ pub(crate) fn push_normalized_path(out: &mut String, path: &str) {
     }
 }
 
-/// Append `s` with hex digits in percent escapes uppercased and unreserved
-/// characters decoded. Every other byte is appended as the char of that
-/// value, so a non-ASCII character comes out as one Latin-1 char per UTF-8
-/// byte.
+/// Append `s` with hex digits in percent escapes uppercased, unreserved
+/// characters decoded, and each UTF-8 byte of a non-ASCII character escaped
+/// as `%XX`. Every other ASCII byte is appended as it is.
 pub(crate) fn push_percent_normalized(out: &mut String, s: &str) {
     if !s.bytes().any(|b| b == b'%' || !b.is_ascii()) {
         out.push_str(s);
@@ -87,17 +89,27 @@ pub(crate) fn push_percent_normalized(out: &mut String, s: &str) {
                 if is_unreserved(v) {
                     out.push(v as char);
                 } else {
-                    out.push('%');
-                    out.push(char::from_digit(h, 16).unwrap().to_ascii_uppercase());
-                    out.push(char::from_digit(l, 16).unwrap().to_ascii_uppercase());
+                    push_escape(out, v);
                 }
                 i += 3;
                 continue;
             }
         }
-        out.push(bytes[i] as char);
+        if bytes[i].is_ascii() {
+            out.push(bytes[i] as char);
+        } else {
+            push_escape(out, bytes[i]);
+        }
         i += 1;
     }
+}
+
+/// Append `%XX`, the byte's value in uppercase hex.
+fn push_escape(out: &mut String, byte: u8) {
+    const HEX: &[u8; 16] = b"0123456789ABCDEF";
+    out.push('%');
+    out.push(HEX[usize::from(byte >> 4)] as char);
+    out.push(HEX[usize::from(byte & 0xF)] as char);
 }
 
 /// RFC 3986 unreserved characters: never need escaping.
@@ -108,6 +120,7 @@ fn is_unreserved(b: u8) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn n(s: &str) -> String {
         normalize(&Url::parse(s).unwrap()).to_string()
@@ -167,6 +180,45 @@ mod tests {
             let once = normalize(&Url::parse(s).unwrap());
             let twice = normalize(&once);
             assert_eq!(once, twice, "{s}");
+        }
+    }
+
+    /// A non-ASCII character is escaped byte by byte, so the raw and the
+    /// escaped spelling normalize alike, a second pass changes nothing, and
+    /// a URL and its normalized form share one SURT key.
+    #[test]
+    fn non_ascii_is_escaped_once_and_for_all() {
+        assert_eq!(n("http://e.org/ü"), "http://e.org/%C3%BC");
+        assert_eq!(n("http://e.org/%c3%bc"), "http://e.org/%C3%BC");
+        assert_eq!(n("http://e.org/a?q=€"), "http://e.org/a?q=%E2%82%AC");
+        for s in [
+            "http://e.org/ü",
+            "http://e.org/über/straße/",
+            "http://e.org/日本/./語/../x",
+            "http://e.org/a?q=ü&r=€",
+            "http://e.org/%c3%bc?%E2%82%ac=ü",
+            "http://e.org/ü%zz?ü%4",
+        ] {
+            let url = Url::parse(s).unwrap();
+            let once = normalize(&url);
+            assert_eq!(normalize(&once), once, "{s}");
+            assert_eq!(crate::surt(&url), crate::surt(&once), "{s}");
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn normalizing_twice_changes_nothing(
+            path in "(/[a-zü€日%0-9A-F.]{0,5}){0,4}/?",
+            query in "(|\\?[a-zü€=&%0-9]{0,8})",
+        ) {
+            let raw = format!("http://e.org{path}{query}");
+            let Ok(url) = Url::parse(&raw) else {
+                return Ok(());
+            };
+            let once = normalize(&url);
+            prop_assert_eq!(normalize(&once), once.clone(), "{}", raw);
+            prop_assert_eq!(crate::surt(&url), crate::surt(&once), "{}", raw);
         }
     }
 

@@ -158,7 +158,11 @@ mod tests {
                         continue;
                     }
                 }
-                out.push(bytes[i] as char);
+                if bytes[i].is_ascii() {
+                    out.push(bytes[i] as char);
+                } else {
+                    out.push_str(&format!("%{:02X}", bytes[i]));
+                }
                 i += 1;
             }
             out
