@@ -23,6 +23,29 @@ pub enum CdxMatchType {
     Host(String),
 }
 
+impl CdxMatchType {
+    /// The SURT prefix the store scans for this match.
+    fn prefix(&self) -> String {
+        match self {
+            CdxMatchType::Exact(url) => permadead_url::surt(url),
+            CdxMatchType::DirectoryOf(url) => permadead_url::surt_directory_prefix(url),
+            CdxMatchType::Host(host) => permadead_url::surt_host_prefix(host),
+        }
+    }
+
+    /// The scan's name in its latency key.
+    fn kind(&self) -> &'static str {
+        match self {
+            CdxMatchType::Exact(_) => "exact",
+            CdxMatchType::DirectoryOf(_) => DIRECTORY,
+            CdxMatchType::Host(_) => "host",
+        }
+    }
+}
+
+/// [`CdxMatchType::DirectoryOf`]'s name in a latency key.
+const DIRECTORY: &str = "dir";
+
 /// Status-code filter, at the granularity CDX exposes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StatusFilter {
@@ -127,29 +150,25 @@ impl<'a> CdxApi<'a> {
         CdxApi { store }
     }
 
+    /// The rows a query matches, in key order, before collapse and limit.
+    fn matching(&self, q: &CdxQuery) -> impl Iterator<Item = &'a Snapshot> + 'a {
+        let prefix = q.match_type.prefix();
+        let exact = matches!(q.match_type, CdxMatchType::Exact(_));
+        let (status, from, to) = (q.status, q.from, q.to);
+        let rows = self.store.scan_surt_prefix(&prefix);
+        rows.filter(move |snap| {
+            (!exact || snap.surt == prefix)
+                && status.matches(snap)
+                && from.is_none_or(|f| snap.captured >= f)
+                && to.is_none_or(|t| snap.captured < t)
+        })
+    }
+
     /// Run a query, returning snapshots in SURT-then-time order.
     pub fn query(&self, q: &CdxQuery) -> Vec<&'a Snapshot> {
-        let prefix = match &q.match_type {
-            CdxMatchType::Exact(url) => permadead_url::surt(url),
-            CdxMatchType::DirectoryOf(url) => permadead_url::surt_directory_prefix(url),
-            CdxMatchType::Host(host) => permadead_url::surt_host_prefix(host),
-        };
-        let exact = matches!(q.match_type, CdxMatchType::Exact(_));
         let mut out = Vec::new();
         let mut last_surt: Option<&str> = None;
-        for snap in self.store.scan_surt_prefix(&prefix) {
-            if exact && snap.surt != prefix {
-                continue;
-            }
-            if !q.status.matches(snap) {
-                continue;
-            }
-            if q.from.is_some_and(|f| snap.captured < f) {
-                continue;
-            }
-            if q.to.is_some_and(|t| snap.captured >= t) {
-                continue;
-            }
+        for snap in self.matching(q) {
             if q.collapse_url && last_surt == Some(snap.surt.as_str()) {
                 continue;
             }
@@ -168,11 +187,23 @@ impl<'a> CdxApi<'a> {
     }
 
     /// Number of *distinct URLs* with at least one snapshot matching the
-    /// query — what Figure 6's x-axis counts.
+    /// query — what Figure 6's x-axis counts. The query's limit caps the
+    /// count, as it caps a collapsed query's rows. Counted as the scan
+    /// reads: rows arrive grouped by SURT, so each new SURT is a new URL.
     pub fn distinct_url_count(&self, q: &CdxQuery) -> usize {
-        let mut q = q.clone();
-        q.collapse_url = true;
-        self.query(&q).len()
+        let mut urls = 0;
+        let mut last_surt: Option<&str> = None;
+        for snap in self.matching(q) {
+            if last_surt == Some(snap.surt.as_str()) {
+                continue;
+            }
+            last_surt = Some(snap.surt.as_str());
+            urls += 1;
+            if q.limit.is_some_and(|l| urls >= l) {
+                break;
+            }
+        }
+        urls
     }
 }
 
@@ -210,40 +241,55 @@ impl<'a> TimedCdx<'a> {
         }
     }
 
-    /// The latency stream is keyed by what the server scans, so two queries
-    /// over different directories (or a directory vs. its host) draw
-    /// independently, while re-asking the same question re-draws only via
-    /// the nonce.
-    fn latency_key(q: &CdxQuery) -> String {
-        match &q.match_type {
-            CdxMatchType::Exact(url) => format!("cdx-exact:{}", permadead_url::surt(url)),
-            CdxMatchType::DirectoryOf(url) => {
-                format!("cdx-dir:{}", permadead_url::surt_directory_prefix(url))
-            }
-            CdxMatchType::Host(host) => format!("cdx-host:{}", permadead_url::surt_host_prefix(host)),
-        }
-    }
-
-    fn wait(&self, q: &CdxQuery, nonce: u64) -> Result<(), CdxError> {
+    /// Pay one latency draw. The latency stream is keyed by what the server
+    /// scans (`cdx-<kind>:<prefix>`, the key built only when there is a
+    /// timeout to miss), so two queries over different directories (or a
+    /// directory vs. its host) draw independently, while re-asking the same
+    /// question re-draws only via the nonce.
+    fn wait(
+        &self,
+        kind: &str,
+        prefix: impl FnOnce() -> String,
+        nonce: u64,
+    ) -> Result<(), CdxError> {
         let Some(timeout) = self.timeout_ms else {
             return Ok(());
         };
-        if self.latency.exceeds_timeout(&Self::latency_key(q), nonce, timeout) {
+        let key = format!("cdx-{kind}:{}", prefix());
+        if self.latency.exceeds_timeout(&key, nonce, timeout) {
             return Err(CdxError::Timeout);
         }
         Ok(())
     }
 
+    fn wait_for(&self, q: &CdxQuery, nonce: u64) -> Result<(), CdxError> {
+        self.wait(q.match_type.kind(), || q.match_type.prefix(), nonce)
+    }
+
     /// [`CdxApi::query`], paying one latency draw.
     pub fn query(&self, q: &CdxQuery, nonce: u64) -> Result<Vec<&'a Snapshot>, CdxError> {
-        self.wait(q, nonce)?;
+        self.wait_for(q, nonce)?;
         Ok(self.api.query(q))
     }
 
     /// [`CdxApi::distinct_url_count`], paying one latency draw.
     pub fn distinct_url_count(&self, q: &CdxQuery, nonce: u64) -> Result<usize, CdxError> {
-        self.wait(q, nonce)?;
+        self.wait_for(q, nonce)?;
         Ok(self.api.distinct_url_count(q))
+    }
+
+    /// Every row of one directory, in key order
+    /// ([`ArchiveStore::scan_surt_prefix`]), for a caller that filters as it
+    /// reads and may stop early. `prefix` is the directory's
+    /// [`permadead_url::surt_directory_prefix`]; the latency draw is the one
+    /// a [`CdxMatchType::DirectoryOf`] query over it pays.
+    pub fn directory_rows(
+        &self,
+        prefix: &str,
+        nonce: u64,
+    ) -> Result<impl Iterator<Item = &'a Snapshot> + 'a, CdxError> {
+        self.wait(DIRECTORY, || prefix.to_string(), nonce)?;
+        Ok(self.api.store.scan_surt_prefix(prefix))
     }
 }
 
@@ -399,6 +445,31 @@ mod tests {
         // a success returns exactly the raw rows
         for o in outcomes.into_iter().flatten() {
             assert_eq!(o.len(), raw.query(&q).len());
+        }
+    }
+
+    #[test]
+    fn directory_rows_draw_as_a_directory_query_does() {
+        let s = store();
+        let url = u("http://e.org/d/whatever.html");
+        let prefix = permadead_url::surt_directory_prefix(&url);
+        let dir = CdxQuery::directory_of(&url);
+        for timeout in [None, Some(1_000)] {
+            let timed = TimedCdx::new(&s, 7, timeout);
+            let mut timeouts = 0;
+            for nonce in 0..200 {
+                let rows = timed.directory_rows(&prefix, nonce).map(|r| r.count());
+                assert_eq!(
+                    rows.is_err(),
+                    timed.query(&dir, nonce).is_err(),
+                    "nonce {nonce}"
+                );
+                timeouts += usize::from(rows.is_err());
+                if let Ok(n) = rows {
+                    assert_eq!(n, 5); // every status, every time
+                }
+            }
+            assert_eq!(timeouts > 0, timeout.is_some());
         }
     }
 

@@ -269,6 +269,15 @@ impl ArchiveStore {
 
     /// Iterate snapshots whose SURT starts with `prefix`, in key order.
     /// This is the raw scan the CDX API's prefix/host modes use.
+    ///
+    /// Key order is a contract, whatever order the rows were inserted in:
+    /// SURTs ascend, each URL's rows are contiguous, and within a URL they
+    /// run in (captured, insertion seq) order. Readers that stop early or
+    /// count as they go rely on it: the §4.2 sibling stream takes the first
+    /// `n` distinct SURTs it meets as the `n` smallest, and the typo scan
+    /// and [`CdxApi::distinct_url_count`](crate::CdxApi::distinct_url_count)
+    /// collapse a URL's rows by comparing each row with the one before. Each
+    /// call counts one lookup, and each row it yields one scanned row.
     pub fn scan_surt_prefix<'a>(&'a self, prefix: &str) -> impl Iterator<Item = &'a Snapshot> + 'a {
         self.lookups.incr();
         let rows = &self.rows_scanned;

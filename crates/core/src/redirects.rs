@@ -8,12 +8,10 @@
 //! compare the target against those seen for **up to 6 other URLs within 90
 //! days** of the copy.
 
-use permadead_archive::{
-    attempt_nonce, ArchiveStore, CdxApi, CdxQuery, Snapshot, StatusFilter, TimedCdx,
-};
+use permadead_archive::{attempt_nonce, ArchiveStore, Snapshot, TimedCdx};
 use permadead_net::latency::Millis;
 use permadead_net::{AttemptFailure, Duration, RetryCause, RetryOutcome, RetryPolicy};
-use permadead_url::Url;
+use permadead_url::{surt_directory_prefix, Url};
 
 /// The comparison window around the archived copy.
 pub const WINDOW: Duration = Duration::days(90);
@@ -61,44 +59,46 @@ pub fn validate_redirect_with(
     let Some(target) = &snap.redirect_target else {
         return RedirectVerdict::NoTarget;
     };
-    let rows = CdxApi::new(archive).query(&sibling_query(snap, window));
-    compare_against_siblings(&rows, &snap.surt, target, max_siblings)
+    let rows = archive.scan_surt_prefix(&surt_directory_prefix(&snap.url));
+    compare_against_siblings(rows, snap, target, window, max_siblings)
 }
 
-/// All captures in the same directory within the window, 3xx only.
-fn sibling_query(snap: &Snapshot, window: Duration) -> CdxQuery {
-    CdxQuery::directory_of(&snap.url)
-        .with_status(StatusFilter::Family(3))
-        .since(snap.captured - window)
-        .until(snap.captured + window)
-}
-
-/// The comparison core: is `target` shared by any capture of the first
-/// `max_siblings` distinct sibling URLs (in SURT order)?
+/// The comparison core, streamed over `rows`, the snapshot's directory in
+/// key order: is `target` shared by any 3xx capture, within `window` of
+/// the snapshot, of the first `max_siblings` distinct sibling URLs (in
+/// SURT order)?
 ///
-/// The consulted set is fixed by sorting, so the verdict is independent of
-/// row order. The previous implementation counted distinct siblings by
-/// adjacency while scanning — correct for the CDX API's SURT-sorted rows,
-/// but any other order made repeat captures of one sibling burn several cap
-/// slots, and the row that tripped the cap was skipped without ever being
-/// target-compared.
-fn compare_against_siblings(
-    rows: &[&Snapshot],
-    own_surt: &str,
+/// Key order keeps each URL's rows together and the URLs in SURT order
+/// ([`ArchiveStore::scan_surt_prefix`]), so a sibling is counted when its
+/// first qualifying row arrives, the first `max_siblings` met are the
+/// smallest, and every row of each is compared. The scan stops when sibling
+/// `max_siblings + 1` starts. An earlier version counted siblings by
+/// adjacency over rows in any order: there, repeat captures of one sibling
+/// burned several cap slots, and the row that tripped the cap was skipped
+/// without ever being compared.
+fn compare_against_siblings<'a>(
+    rows: impl Iterator<Item = &'a Snapshot>,
+    snap: &Snapshot,
     target: &Url,
+    window: Duration,
     max_siblings: usize,
 ) -> RedirectVerdict {
-    let mut consulted: Vec<&str> = rows
-        .iter()
-        .filter(|other| other.surt != own_surt)
-        .map(|other| other.surt.as_str())
-        .collect();
-    consulted.sort_unstable();
-    consulted.dedup();
-    consulted.truncate(max_siblings);
+    let (from, to) = (snap.captured - window, snap.captured + window);
+    let mut sibling: Option<&str> = None;
+    let mut siblings = 0;
     for other in rows {
-        if other.surt == own_surt || consulted.binary_search(&other.surt.as_str()).is_err() {
+        if other.status_family() != 3 || other.captured < from || other.captured >= to {
             continue;
+        }
+        if other.surt == snap.surt {
+            continue;
+        }
+        if sibling != Some(other.surt.as_str()) {
+            if siblings == max_siblings {
+                break;
+            }
+            siblings += 1;
+            sibling = Some(&other.surt);
         }
         if other.redirect_target.as_deref() == Some(target) {
             return RedirectVerdict::Erroneous {
@@ -125,19 +125,26 @@ pub fn validate_redirect_with_retry(
     retry: &RetryPolicy,
 ) -> (RedirectVerdict, RetryOutcome) {
     let api = TimedCdx::new(archive, latency_seed, cdx_timeout_ms);
+    let prefix = surt_directory_prefix(&snap.url);
     let key = format!("redirect:{}", snap.url);
     let (result, outcome) = retry.run(&key, |attempt| {
         let Some(target) = &snap.redirect_target else {
             return Ok(RedirectVerdict::NoTarget);
         };
         let rows = api
-            .query(&sibling_query(snap, WINDOW), attempt_nonce(nonce, attempt))
+            .directory_rows(&prefix, attempt_nonce(nonce, attempt))
             .map_err(|_| AttemptFailure {
                 cause: RetryCause::AvailabilityTimeout,
                 retry_after_ms: None,
                 error: (),
             })?;
-        Ok(compare_against_siblings(&rows, &snap.surt, target, MAX_SIBLINGS))
+        Ok(compare_against_siblings(
+            rows,
+            snap,
+            target,
+            WINDOW,
+            MAX_SIBLINGS,
+        ))
     });
     (result.unwrap_or(RedirectVerdict::Unverified), outcome)
 }
@@ -287,7 +294,8 @@ mod tests {
         // implementation double-counted the repeat capture when rows arrived
         // interleaved, tripped the cap early, and skipped the catch-all row
         // without comparing it: Valid under some orders, Erroneous under
-        // others. The verdict must not depend on row order.
+        // others. The verdict must not depend on the order the rows were
+        // archived in.
         let target = u("http://n.org/");
         let own = redirect_snap("http://n.org/news/a.html", t(2015, 2, 1), "http://n.org/");
         let rows_owned = [
@@ -296,14 +304,50 @@ mod tests {
             redirect_snap("http://n.org/news/dup.html", t(2015, 2, 12), "http://n.org/three"),
             redirect_snap("http://n.org/news/zzz.html", t(2015, 2, 15), "http://n.org/"),
         ];
-        for perm in permutations(rows_owned.len()) {
-            let rows: Vec<&Snapshot> = perm.iter().map(|&i| &rows_owned[i]).collect();
+        let orders = permutations(rows_owned.len());
+        assert_eq!(orders.len(), 24);
+        for perm in orders {
+            let mut a = ArchiveStore::new();
+            a.insert(own.clone());
+            for &i in &perm {
+                a.insert(rows_owned[i].clone());
+            }
             assert_eq!(
-                compare_against_siblings(&rows, &own.surt, &target, 3),
-                RedirectVerdict::Erroneous { shared_target: target.clone() },
+                validate_redirect_with(&a, &own, WINDOW, 3),
+                RedirectVerdict::Erroneous {
+                    shared_target: target.clone()
+                },
                 "order {perm:?}"
             );
+            // one sibling fewer leaves the catch-all out
+            assert_eq!(
+                validate_redirect_with(&a, &own, WINDOW, 2),
+                RedirectVerdict::Valid
+            );
         }
+    }
+
+    #[test]
+    fn the_stream_stops_when_the_sibling_past_the_cap_starts() {
+        let mut a = ArchiveStore::new();
+        let snap = redirect_snap("http://n.org/news/a.html", t(2015, 2, 1), "http://n.org/");
+        a.insert(snap.clone());
+        for name in ["b", "c", "d"] {
+            for d in 0..2 {
+                a.insert(redirect_snap(
+                    &format!("http://n.org/news/{name}.html"),
+                    t(2015, 2, 3 + d),
+                    "http://n.org/elsewhere",
+                ));
+            }
+        }
+        // the own row and both rows of b and c, then the first of d
+        let before = a.rows_scanned.get();
+        assert_eq!(
+            validate_redirect_with(&a, &snap, WINDOW, 2),
+            RedirectVerdict::Valid
+        );
+        assert_eq!(a.rows_scanned.get() - before, 6);
     }
 
     #[test]

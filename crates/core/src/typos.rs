@@ -7,9 +7,9 @@
 //! archived URL sits at edit distance exactly 1. (With several candidates
 //! the neighbours are usually numeric page ids, not typos.)
 
-use permadead_archive::{ArchiveStore, CdxApi, CdxQuery};
-use permadead_url::{bounded_levenshtein, Url};
-use std::collections::BTreeSet;
+use permadead_archive::ArchiveStore;
+use permadead_url::{at_distance_one, surt_host_prefix, Url};
+use std::fmt::Write;
 
 /// A detected potential typo.
 #[derive(Debug, Clone, PartialEq)]
@@ -23,27 +23,40 @@ pub struct TypoCandidate {
 
 /// Scan the archive for a unique distance-1 neighbour of `url` under the
 /// same hostname.
+///
+/// One pass over the host's rows, which come grouped by SURT: each
+/// archived URL is judged by its first capture (CDX `collapse=urlkey`). A
+/// URL whose display form is more than one byte longer or shorter than
+/// `url`'s cannot be at distance 1 and is never formatted; the rest are
+/// formatted into one reused buffer. URLs with distinct SURTs display
+/// differently, so each neighbour met is a new one, and the scan stops at
+/// the second.
 pub fn find_typo_candidate(archive: &ArchiveStore, url: &Url) -> Option<TypoCandidate> {
-    let api = CdxApi::new(archive);
-    let rows = api.query(&CdxQuery::host(url.host()).collapsed());
     let target = url.to_string();
-    let mut matches: BTreeSet<String> = BTreeSet::new();
-    for snap in rows {
-        let candidate = snap.url.to_string();
-        if candidate == target {
+    let mut candidate = String::new();
+    let mut found: Option<String> = None;
+    let mut last_surt: Option<&str> = None;
+    for snap in archive.scan_surt_prefix(&surt_host_prefix(url.host())) {
+        if last_surt == Some(snap.surt.as_str()) {
             continue;
         }
-        if bounded_levenshtein(&target, &candidate, 1) == Some(1) {
-            matches.insert(candidate);
-            if matches.len() > 1 {
-                return None; // ambiguous: not a typo signature
-            }
+        last_surt = Some(&snap.surt);
+        if snap.url.display_len().abs_diff(target.len()) > 1 {
+            continue;
         }
+        candidate.clear();
+        write!(candidate, "{}", snap.url).expect("writing to a String cannot fail");
+        if !at_distance_one(&target, &candidate) {
+            continue;
+        }
+        if found.is_some() {
+            return None; // ambiguous: not a typo signature
+        }
+        found = Some(candidate.clone());
     }
-    let only = matches.into_iter().next()?;
     Some(TypoCandidate {
         typo_url: url.clone(),
-        intended_url: Url::parse(&only).expect("stored URLs parse"),
+        intended_url: Url::parse(&found?).expect("stored URLs parse"),
     })
 }
 

@@ -36,8 +36,8 @@ use crate::wire::{parse_request, HttpRequest, Parse, WireError, MAX_BODY_BYTES, 
 use std::io::{ErrorKind, Read, Write};
 use std::time::Instant;
 
-/// Upper bound on bytes buffered from one connection: one maximal request
-/// plus one maximal pipelined follow-up's headers. The parser flags
+/// Upper bound on unparsed bytes buffered from one connection: one maximal
+/// request plus one maximal pipelined follow-up's headers. The parser flags
 /// anything that can never become a valid request long before this.
 const READ_BUF_CAP: usize = MAX_HEADER_BYTES + MAX_BODY_BYTES + MAX_HEADER_BYTES;
 
@@ -59,7 +59,12 @@ pub struct Conn<S> {
     /// Slab generation at insert; completions carry it so a worker's
     /// response can never land on a recycled slot's new occupant.
     pub generation: u64,
+    /// Bytes read off the socket; those before `read_pos` are parsed.
+    /// Parsing moves the offset, and the parsed bytes are dropped once per
+    /// [`Conn::read_step`] and whenever the buffer empties, so a run of
+    /// pipelined requests never moves the bytes behind each one.
     read_buf: Vec<u8>,
+    read_pos: usize,
     write_buf: Vec<u8>,
     written: usize,
     pub state: ConnState,
@@ -76,7 +81,7 @@ pub struct Conn<S> {
 pub enum ReadStep {
     /// Nothing actionable yet; stay readable.
     More,
-    /// A complete request was parsed and drained from the buffer.
+    /// A complete request was parsed and consumed from the buffer.
     Request(HttpRequest),
     /// The bytes can never become a request; answer `err.status()` and close.
     Bad(WireError),
@@ -101,6 +106,7 @@ impl<S: Read + Write> Conn<S> {
             stream,
             generation,
             read_buf: Vec::new(),
+            read_pos: 0,
             write_buf: Vec::new(),
             written: 0,
             state: ConnState::Reading,
@@ -113,6 +119,8 @@ impl<S: Read + Write> Conn<S> {
     /// the buffer cap), then try to parse. Call on readable readiness in
     /// [`ConnState::Reading`].
     pub fn read_step(&mut self) -> ReadStep {
+        self.read_buf.drain(..self.read_pos);
+        self.read_pos = 0;
         let mut chunk = [0u8; 8 * 1024];
         while self.read_buf.len() < READ_BUF_CAP {
             match self.stream.read(&mut chunk) {
@@ -134,24 +142,29 @@ impl<S: Read + Write> Conn<S> {
     /// keep-alive path: a pipelined next request may be sitting in the
     /// buffer before any new readiness arrives).
     pub fn try_parse(&mut self) -> ReadStep {
-        match parse_request(&self.read_buf) {
+        match parse_request(&self.read_buf[self.read_pos..]) {
             Parse::Complete { request, consumed } => {
-                // drain exactly the request's bytes; a pipelined follow-up
-                // stays buffered for the next cycle
-                self.read_buf.drain(..consumed);
+                // consume exactly the request's bytes; a pipelined
+                // follow-up stays buffered for the next cycle
+                self.read_pos += consumed;
+                if self.read_pos == self.read_buf.len() {
+                    self.read_buf.clear();
+                    self.read_pos = 0;
+                }
                 self.started = Some(Instant::now());
                 ReadStep::Request(request)
             }
             Parse::Bad(e) => ReadStep::Bad(e),
             Parse::Incomplete => {
+                let unparsed = self.read_buf.len() - self.read_pos;
                 if self.saw_eof {
-                    if self.read_buf.is_empty() {
+                    if unparsed == 0 {
                         ReadStep::Closed
                     } else {
                         // half a request then FIN: malformed
                         ReadStep::Bad(WireError::BadRequest)
                     }
-                } else if self.read_buf.len() >= READ_BUF_CAP {
+                } else if unparsed >= READ_BUF_CAP {
                     ReadStep::Bad(WireError::TooLarge)
                 } else {
                     ReadStep::More
@@ -221,7 +234,13 @@ mod tests {
     impl Read for Scripted {
         fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
             match self.reads.pop_front() {
-                Some(Ok(bytes)) => {
+                Some(Ok(mut bytes)) => {
+                    // a chunk larger than the caller's buffer is served
+                    // across reads, as a socket would
+                    if bytes.len() > buf.len() {
+                        let rest = bytes.split_off(buf.len());
+                        self.reads.push_front(Ok(rest));
+                    }
                     buf[..bytes.len()].copy_from_slice(&bytes);
                     Ok(bytes.len())
                 }
@@ -327,6 +346,43 @@ mod tests {
             ReadStep::Request(req) => assert_eq!(req.path, "/b"),
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn long_pipelined_run_parses_in_order_and_leaves_nothing_buffered() {
+        let mut conn = Conn::new(Scripted::default(), 0);
+        let n = 10_000;
+        let raw: String = (0..n)
+            .map(|i| format!("GET /r{i} HTTP/1.1\r\n\r\n"))
+            .collect();
+        conn.stream.reads.push_back(Ok(raw.into_bytes()));
+        let mut paths = Vec::new();
+        let mut step = conn.read_step();
+        while let ReadStep::Request(req) = step {
+            paths.push(req.path);
+            step = conn.try_parse();
+        }
+        assert_eq!(step, ReadStep::More);
+        assert!(paths
+            .iter()
+            .enumerate()
+            .all(|(i, p)| *p == format!("/r{i}")));
+        assert_eq!(paths.len(), n);
+        assert!(
+            conn.read_buf.is_empty() && conn.read_pos == 0,
+            "nothing buffered"
+        );
+
+        // a request cut across two reads: the parsed bytes before it are
+        // dropped by the next read, and its head is kept
+        conn.stream
+            .reads
+            .push_back(Ok(b"GET /a HTTP/1.1\r\n\r\nGET /b HT".to_vec()));
+        assert!(matches!(conn.read_step(), ReadStep::Request(req) if req.path == "/a"));
+        assert_eq!(conn.try_parse(), ReadStep::More);
+        conn.stream.reads.push_back(Ok(b"TP/1.1\r\n\r\n".to_vec()));
+        assert!(matches!(conn.read_step(), ReadStep::Request(req) if req.path == "/b"));
+        assert!(conn.read_buf.is_empty() && conn.read_pos == 0);
     }
 
     #[test]

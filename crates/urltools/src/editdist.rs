@@ -4,8 +4,9 @@
 //! archived URL under the same domain sits at Levenshtein distance 1 from it.
 //! The scan compares one URL against many candidates, so alongside the plain
 //! distance we provide a banded variant, [`bounded_levenshtein`], that bails
-//! out as soon as the distance provably exceeds a threshold — for distance-1
-//! checks this is linear time instead of quadratic.
+//! out as soon as the distance provably exceeds a threshold, and
+//! [`at_distance_one`], the §5.2 predicate itself: one linear pass, no
+//! allocation.
 
 /// Classic Levenshtein distance (insertions, deletions, substitutions all
 /// cost 1), computed over bytes. URLs in the study are ASCII; comparing bytes
@@ -84,6 +85,27 @@ pub fn bounded_levenshtein(a: &str, b: &str, bound: usize) -> Option<usize> {
     (d <= bound).then_some(d)
 }
 
+/// Whether `a` and `b` sit at Levenshtein distance exactly 1, over bytes:
+/// equal lengths differing in one byte, or one string the other with one
+/// byte inserted. The §5.2 typo predicate, equal to
+/// `bounded_levenshtein(a, b, 1) == Some(1)`.
+pub fn at_distance_one(a: &str, b: &str) -> bool {
+    let (a, b) = (a.as_bytes(), b.as_bytes());
+    let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+    if long.len() - short.len() > 1 {
+        return false;
+    }
+    let Some(i) = short.iter().zip(long).position(|(x, y)| x != y) else {
+        // `short` is a prefix of `long`: one byte longer, or equal
+        return long.len() != short.len();
+    };
+    if long.len() == short.len() {
+        short[i + 1..] == long[i + 1..]
+    } else {
+        short[i..] == long[i + 1..]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -116,6 +138,20 @@ mod tests {
         let good = "http://www.lnr.fr/top-14-paris-26-mai-1984.html";
         assert_eq!(levenshtein(bad, good), 1);
         assert_eq!(bounded_levenshtein(bad, good, 1), Some(1));
+        assert!(at_distance_one(bad, good));
+    }
+
+    #[test]
+    fn distance_one_predicate() {
+        assert!(at_distance_one("abc", "abd"));
+        assert!(at_distance_one("abc", "abcd"));
+        assert!(at_distance_one("abcd", "acd"));
+        assert!(at_distance_one("", "x"));
+        assert!(!at_distance_one("", ""));
+        assert!(!at_distance_one("abc", "abc"));
+        assert!(!at_distance_one("abc", "bca"));
+        assert!(!at_distance_one("abc", "a"));
+        assert!(!at_distance_one("ab", "ba"));
     }
 
     #[test]

@@ -30,7 +30,7 @@ pub mod psl;
 pub mod query;
 pub mod surt;
 
-pub use editdist::{bounded_levenshtein, levenshtein};
+pub use editdist::{at_distance_one, bounded_levenshtein, levenshtein};
 pub use fnv::{fnv1a, Fnv1a, IdTable};
 pub use normalize::normalize;
 pub use parse::{ParseError, Scheme, Url};

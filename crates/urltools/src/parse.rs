@@ -221,6 +221,21 @@ impl Url {
         self.fragment.as_deref()
     }
 
+    /// The length in bytes of this URL's display form (`to_string().len()`),
+    /// summed from its parts with nothing formatted.
+    pub fn display_len(&self) -> usize {
+        let port = self
+            .port
+            .map_or(0, |p| 1 + p.checked_ilog10().unwrap_or(0) as usize + 1);
+        self.scheme.as_str().len()
+            + "://".len()
+            + self.host.len()
+            + port
+            + self.path.len()
+            + self.query.as_ref().map_or(0, |q| 1 + q.len())
+            + self.fragment.as_ref().map_or(0, |f| 1 + f.len())
+    }
+
     /// Path plus `?query` if present — what a client sends in the request line.
     pub fn path_and_query(&self) -> String {
         match &self.query {
@@ -346,6 +361,22 @@ mod tests {
             let u = Url::parse(s).unwrap();
             let re = Url::parse(&u.to_string()).unwrap();
             assert_eq!(u, re, "{s}");
+        }
+    }
+
+    #[test]
+    fn display_len_counts_the_displayed_bytes() {
+        for s in [
+            "http://example.org",
+            "https://example.org/a/b/c?q=1",
+            "http://example.org:8080/a#z",
+            "http://e.org:1/?#",
+            "http://e.org:65535/x?",
+            "https://e.org/#frag",
+            "http://e.org/ü?ä=1",
+        ] {
+            let u = Url::parse(s).unwrap();
+            assert_eq!(u.display_len(), u.to_string().len(), "{s}");
         }
     }
 

@@ -8,6 +8,14 @@ cargo build --release --offline --workspace
 cargo test -q --offline --workspace
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+# The paper-scale benchmark's harness (perfbench/, a workspace of its own)
+# calls the program's public functions: build and test it here, so a change
+# to one it calls fails this gate rather than the benchmark run. --locked
+# fails on any new crate dependency edge, which would rewrite
+# perfbench/Cargo.lock.
+cargo test --release --offline --locked --manifest-path perfbench/Cargo.toml \
+    --target-dir target/perfbench
+
 # Serve smoke test: start the service on an ephemeral port, probe every
 # user-facing endpoint with the std-only client, and shut down cleanly.
 # No curl, no python — serve-probe is built from crates/serve/src/bin.
