@@ -11,10 +11,15 @@
 //! the snapshot's size. A counting global allocator adds heap bytes: each
 //! section line carries the live heap the load holds when that section
 //! closes, and the `world/load` line the live heap after the load and its
-//! peak during it, both counted from the load's start. The rescue postings,
-//! which a loaded index builds on its first query, are forced on their own
-//! `world/rescue_postings` line, and the `world/save` line carries the heap
-//! the save adds at its peak over the world it writes. The full study, the
+//! peak during it, both counted from the load's start. The load checks the
+//! rescue entries and leaves them in the file: the read a loaded index
+//! makes of them on first use is forced on its own `world/rescue_entries`
+//! line, and the postings it builds on its first query on the
+//! `world/rescue_postings` line after it. The `world/save` line carries
+//! the heap the save adds at its peak over the world it writes. Every heap
+//! figure leaves out the snapshot path's own bytes (the save's temp path,
+//! the path the load keeps for the deferred read), so that it does not
+//! depend on where the run writes. The full study, the
 //! incremental build and the single-flip re-audit are each timed over
 //! [`ROUNDS`] rounds and reported as the median, with `speedup_vs_full`
 //! taken from the medians.
@@ -88,6 +93,17 @@ static HEAP: Counting = Counting;
 /// Rounds each steady-state measurement is timed over.
 const ROUNDS: usize = 7;
 
+/// The heap bytes the value `make` returns holds: a path built as
+/// `World::save` or `World::load` builds it, measured so that the heap
+/// figures can leave it out.
+fn held_by<T>(make: impl FnOnce() -> T) -> usize {
+    let before = LIVE.load(Relaxed);
+    let value = make();
+    let held = LIVE.load(Relaxed).saturating_sub(before);
+    drop(value);
+    held
+}
+
 /// Run `op` [`ROUNDS`] times: the median wall-clock milliseconds of a round,
 /// and the last round's output.
 fn timed<T>(mut op: impl FnMut() -> T) -> (f64, T) {
@@ -121,18 +137,19 @@ fn main() {
         .unwrap_or_else(|| std::env::temp_dir().join("permadead-world-scale"));
     std::fs::create_dir_all(&dir).expect("snapshot directory");
     let path = worldcache::world_cache_path(&dir, seed, &scale);
+    let tmp_path_bytes = held_by(|| path.with_extension("pdw.tmp"));
     let heap0 = LIVE.load(Relaxed);
     PEAK.store(heap0, Relaxed);
     let t0 = Instant::now();
     let size_bytes = world.save(&path).expect("snapshot saves");
     let save_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let save_peak = PEAK.load(Relaxed).saturating_sub(heap0);
+    let save_peak = PEAK.load(Relaxed).saturating_sub(heap0 + tmp_path_bytes);
     drop(world);
 
     // 3. load: what every later run pays instead of (1), section by section,
-    // with the heap it holds counted from its start
-    let heap0 = LIVE.load(Relaxed);
-    PEAK.store(heap0, Relaxed);
+    // with the heap it holds counted from its start, less its path
+    let heap0 = LIVE.load(Relaxed) + held_by(|| path.to_path_buf());
+    PEAK.store(LIVE.load(Relaxed), Relaxed);
     let mut sections = Vec::new();
     let t0 = Instant::now();
     let world = World::load_with_sections(&path, |s| {
@@ -148,7 +165,13 @@ fn main() {
         "every snapshot byte belongs to one section"
     );
 
-    // the postings a loaded index builds on its first query, forced here
+    // the entries a loaded index reads back on first use, then the postings
+    // it builds on its first query, each forced on its own
+    let heap0 = LIVE.load(Relaxed);
+    let t0 = Instant::now();
+    let entries = world.rescue.as_ref().map_or(0, |index| index.entries().len());
+    let entries_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let entries_heap = LIVE.load(Relaxed).saturating_sub(heap0);
     let heap0 = LIVE.load(Relaxed);
     let t0 = Instant::now();
     if let Some(index) = &world.rescue {
@@ -210,6 +233,7 @@ fn main() {
          {{\"bench\":\"world/save\",\"scale\":\"{scale}\",\"bytes\":{size_bytes},\"mean_ms\":{save_ms:.3},\"heap_peak_bytes\":{save_peak}}}\n\
          {{\"bench\":\"world/load\",\"scale\":\"{scale}\",\"mean_ms\":{load_ms:.3},\"speedup_vs_generate\":{load_speedup:.1},\"heap_bytes\":{load_heap},\"heap_peak_bytes\":{load_peak}}}\n\
          {section_lines}\
+         {{\"bench\":\"world/rescue_entries\",\"scale\":\"{scale}\",\"entries\":{entries},\"mean_ms\":{entries_ms:.3},\"heap_bytes\":{entries_heap}}}\n\
          {{\"bench\":\"world/rescue_postings\",\"scale\":\"{scale}\",\"mean_ms\":{postings_ms:.3},\"heap_bytes\":{postings_heap}}}\n\
          {{\"bench\":\"world/full_study\",\"scale\":\"{scale}\",\"jobs\":{jobs},\"links\":{links},\"rounds\":{ROUNDS},\"median_ms\":{full_study_ms:.3}}}\n\
          {{\"bench\":\"world/incremental_build\",\"scale\":\"{scale}\",\"rounds\":{ROUNDS},\"median_ms\":{build_ms:.3}}}\n\

@@ -568,9 +568,21 @@ fn cmd_bots(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
 mod tests {
     use super::*;
     use permadead_net::SimTime;
+    use permadead_rescue::{EntrySource, RescueEntry};
     use permadead_worldstore::WorldMeta;
 
-    /// A world whose index is as `World::load` leaves it.
+    /// The entries of an empty index, read on first use.
+    #[derive(Debug)]
+    struct NoEntries;
+
+    impl EntrySource for NoEntries {
+        fn read(&self) -> Vec<RescueEntry> {
+            Vec::new()
+        }
+    }
+
+    /// A world whose index is as `World::load` leaves it: neither its
+    /// entries nor its postings read or built.
     fn snapshot_world() -> World {
         let meta = WorldMeta {
             seed: 1,
@@ -589,13 +601,14 @@ mod tests {
             ("september", &[]),
             ("all", &[]),
         )
-        .with_rescue(RescueIndex::from_entries_lazy(Vec::new()))
+        .with_rescue(RescueIndex::deferred(0, NoEntries))
     }
 
     #[test]
     fn a_snapshot_index_is_built_before_use_or_dropped_unbuilt() {
         let mut world = snapshot_world();
         let index = rescue_index(&mut world, true, 1).expect("rediscovery on keeps the index");
+        assert!(index.entries_loaded(), "no query pays for the entries' read");
         assert!(index.postings_built(), "no query pays for the postings build");
 
         let mut world = snapshot_world();

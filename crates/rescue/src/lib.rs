@@ -28,12 +28,13 @@
 //! `crossbeam::scope` idiom as `core::pipeline`, and joined in spawn order,
 //! so the entry list — and therefore every posting and every query answer —
 //! is bit-identical for any `--jobs`. Postings are a pure function of the
-//! entry list, which is why only entries are serialized by `worldstore`; a
-//! loaded index ([`RescueIndex::from_entries_lazy`]) builds them on its
-//! first query, so a run that never queries never holds them. Each kind of
-//! posting is one sorted, deduplicated array of `(key, entry id)` pairs, so
-//! the build is one sort per kind and a lookup is a binary search for the
-//! key's run.
+//! entry list, which is why only entries are serialized by `worldstore`. A
+//! loaded index defers both: [`RescueIndex::deferred`] reads its entries
+//! from an [`EntrySource`] (the snapshot file) on first use, and any index
+//! builds its postings on its first query, so a run that never queries
+//! holds neither. Each kind of posting is one sorted, deduplicated array of
+//! `(key, entry id)` pairs, so the build is one sort per kind and a lookup
+//! is a binary search for the key's run.
 
 use permadead_net::{SimTime, StatusCode};
 use permadead_text::html::extract_title;
@@ -43,7 +44,8 @@ use permadead_url::fnv1a;
 use permadead_web::page::PathView;
 use permadead_web::{LiveWeb, Site};
 use std::collections::BTreeSet;
-use std::sync::OnceLock;
+use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 /// Word-level shingle size for page-body sketches — must match
 /// `Snapshot::from_observation` (k = 5) so archived fingerprints and index
@@ -100,14 +102,26 @@ impl Candidate {
 
 /// The searchable title + shingle-sketch index over the live web.
 ///
-/// Equality compares the entries and the postings, building the postings
-/// of either side that has not built them yet.
+/// Equality compares the entries and the postings, reading the entries
+/// and building the postings of either side that has not yet.
 #[derive(Debug, Clone, Default)]
 pub struct RescueIndex {
-    entries: Vec<RescueEntry>,
+    /// How many entries the index holds, known before they are read.
+    len: usize,
+    /// Given at construction, or read from `source` on first use.
+    entries: OnceLock<Vec<RescueEntry>>,
+    /// Where deferred entries are read from; `None` when they were given.
+    source: Option<Arc<dyn EntrySource>>,
     /// Built from `entries` by [`Postings::of`], at construction or on
     /// first use; concurrent first queries wait for one build.
     postings: OnceLock<Postings>,
+}
+
+/// Where a [`RescueIndex::deferred`] index reads its entries on first use.
+/// `read` returns exactly the entries the index was made over, or panics:
+/// it never returns entries from other bytes.
+pub trait EntrySource: fmt::Debug + Send + Sync {
+    fn read(&self) -> Vec<RescueEntry>;
 }
 
 #[derive(Debug, Clone, PartialEq)]
@@ -137,7 +151,7 @@ impl Postings {
 
 impl PartialEq for RescueIndex {
     fn eq(&self, other: &RescueIndex) -> bool {
-        self.entries == other.entries && self.postings() == other.postings()
+        self.entries() == other.entries() && self.postings() == other.postings()
     }
 }
 
@@ -191,14 +205,26 @@ impl RescueIndex {
 
     /// The index over `entries`, with its postings left to be built on
     /// first use: by [`RescueIndex::query`], [`RescueIndex::ensure_postings`]
-    /// or `==`. This is the `worldstore` snapshot path. It answers every
-    /// query exactly as [`RescueIndex::from_entries`] does.
+    /// or `==`. This is the path of a snapshot decoded from bytes in
+    /// memory. It answers every query exactly as
+    /// [`RescueIndex::from_entries`] does.
     pub fn from_entries_lazy(entries: Vec<RescueEntry>) -> RescueIndex {
-        RescueIndex { entries, postings: OnceLock::new() }
+        RescueIndex { len: entries.len(), entries: OnceLock::from(entries), ..RescueIndex::default() }
     }
 
-    /// Build the postings now if they are not built yet, so that no query
-    /// pays for the build (a server calls this before it takes requests).
+    /// The index over the `len` entries `source` reads, with both the
+    /// entries and the postings left to first use: [`RescueIndex::entries`],
+    /// a query, [`RescueIndex::ensure_postings`] or `==` reads the entries,
+    /// and [`RescueIndex::len`] answers without them. This is the path of a
+    /// snapshot loaded from a file. It answers every query exactly as
+    /// [`RescueIndex::from_entries`] over the same entries does.
+    pub fn deferred(len: usize, source: impl EntrySource + 'static) -> RescueIndex {
+        RescueIndex { len, source: Some(Arc::new(source)), ..RescueIndex::default() }
+    }
+
+    /// Read the entries and build the postings now if they are not yet, so
+    /// that no query pays for either (a server calls this before it takes
+    /// requests).
     pub fn ensure_postings(&self) {
         self.postings();
     }
@@ -208,20 +234,32 @@ impl RescueIndex {
         self.postings.get().is_some()
     }
 
-    fn postings(&self) -> &Postings {
-        self.postings.get_or_init(|| Postings::of(&self.entries))
+    /// Whether the entries are in memory: given at construction, or read
+    /// from the index's source.
+    pub fn entries_loaded(&self) -> bool {
+        self.entries.get().is_some()
     }
 
+    fn postings(&self) -> &Postings {
+        self.postings.get_or_init(|| Postings::of(self.entries()))
+    }
+
+    /// The entries, read from the index's source on first use; a failed
+    /// read panics there (see [`EntrySource`]).
     pub fn entries(&self) -> &[RescueEntry] {
-        &self.entries
+        self.entries.get_or_init(|| {
+            let entries = self.source.as_ref().map_or_else(Vec::new, |s| s.read());
+            assert_eq!(entries.len(), self.len, "the entry source read the wrong number of entries");
+            entries
+        })
     }
 
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
     }
 
     /// Top-`k` candidates for a fingerprint, best first. Retrieval goes
@@ -230,6 +268,7 @@ impl RescueIndex {
     /// deterministic.
     pub fn query(&self, fp: &Fingerprint, k: usize) -> Vec<Candidate> {
         let postings = self.postings();
+        let entries = self.entries();
         let mut ids: Vec<u32> = Vec::new();
         for tok in title_tokens(&fp.title) {
             ids.extend(posting(&postings.title, tok));
@@ -245,7 +284,7 @@ impl RescueIndex {
         let mut candidates: Vec<Candidate> = ids
             .into_iter()
             .map(|id| {
-                let entry = &self.entries[id as usize];
+                let entry = &entries[id as usize];
                 Candidate {
                     entry: id as usize,
                     title_similarity: title_similarity(&fp.title, &entry.title),
@@ -339,6 +378,7 @@ fn index_site(web: &LiveWeb, site: &Site, t: SimTime) -> Vec<RescueEntry> {
 mod tests {
     use super::*;
     use permadead_web::{Page, PageEvent, PageId, SiteId, SiteLifecycle, UnknownPathPolicy};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn t(y: i32) -> SimTime {
         SimTime::from_ymd(y, 6, 15)
@@ -628,6 +668,62 @@ mod tests {
             assert_eq!(got, expected[i], "fingerprint {i}");
         }
         assert_eq!(lazy, eager);
+    }
+
+    /// Hands out a fixed entry list, counting its reads.
+    #[derive(Debug)]
+    struct Counted {
+        entries: Vec<RescueEntry>,
+        reads: Arc<AtomicUsize>,
+    }
+
+    impl EntrySource for Counted {
+        fn read(&self) -> Vec<RescueEntry> {
+            self.reads.fetch_add(1, Ordering::SeqCst);
+            self.entries.clone()
+        }
+    }
+
+    #[test]
+    fn a_deferred_index_reads_its_entries_once_on_first_use() {
+        let mut draws = Draws(29);
+        let entries = drawn_entries(&mut draws, 80);
+        let eager = RescueIndex::from_entries(entries.clone());
+        let reads = Arc::new(AtomicUsize::new(0));
+        let source = Counted { entries, reads: Arc::clone(&reads) };
+        let deferred = RescueIndex::deferred(80, source);
+        let count = || reads.load(Ordering::SeqCst);
+        assert_eq!((deferred.len(), deferred.is_empty()), (80, false));
+        assert!(!deferred.entries_loaded() && !deferred.postings_built());
+        assert_eq!(count(), 0, "the length is known without a read");
+
+        let fp = Fingerprint { title: draws.title(&[]), sketch: draws.sketch(4000) };
+        let start = std::sync::Barrier::new(3);
+        let answers: Vec<Vec<Candidate>> = std::thread::scope(|scope| {
+            let threads: Vec<_> = (0..3)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        deferred.query(&fp, DEFAULT_TOP_K)
+                    })
+                })
+                .collect();
+            threads.into_iter().map(|t| t.join().expect("query thread")).collect()
+        });
+        assert!(answers.iter().all(|a| *a == eager.query(&fp, DEFAULT_TOP_K)));
+        assert_eq!(count(), 1, "concurrent first queries wait for one read");
+        assert!(deferred.entries_loaded() && deferred.postings_built());
+        assert_eq!(deferred, eager);
+        assert_eq!(deferred.entries(), eager.entries());
+        assert_eq!(count(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "wrong number of entries")]
+    fn a_source_that_reads_too_few_entries_panics() {
+        let reads = Arc::new(AtomicUsize::new(0));
+        let index = RescueIndex::deferred(1, Counted { entries: Vec::new(), reads });
+        index.entries();
     }
 
     #[test]

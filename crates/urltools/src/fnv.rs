@@ -49,6 +49,14 @@ impl Fnv1a {
     pub fn finish(&self) -> u64 {
         self.0
     }
+
+    /// Continue a hash whose [`Fnv1a::finish`] returned `state`: FNV-1a's
+    /// state is its hash, so writing more bytes here equals writing them
+    /// to the hasher that returned it.
+    #[inline]
+    pub fn resume(state: u64) -> Fnv1a {
+        Fnv1a(state)
+    }
 }
 
 impl Default for Fnv1a {
@@ -177,6 +185,14 @@ mod tests {
             h.write(part);
         }
         assert_eq!(h.finish(), fnv1a(b"http://example.org/a"));
+    }
+
+    #[test]
+    fn a_resumed_hash_continues_where_it_stopped() {
+        let mut h = Fnv1a::resume(fnv1a(b"http://example"));
+        h.write(b".org/a");
+        assert_eq!(h.finish(), fnv1a(b"http://example.org/a"));
+        assert_eq!(Fnv1a::resume(Fnv1a::new().finish()).finish(), fnv1a(b""));
     }
 
     /// Names for ids: the id's decimal spelling, so every key is distinct.

@@ -197,12 +197,24 @@ impl<'a> Reader<&'a [u8]> {
 impl<R: Read> Reader<R> {
     /// Decode `len` bytes from `inner`.
     pub fn from_stream(inner: R, len: u64) -> Self {
-        let len = usize::try_from(len).unwrap_or(usize::MAX);
-        Reader { inner, len, pos: 0, hash: Fnv1a::new(), io_error: None }
+        Reader::resume(inner, 0, len, Fnv1a::new().finish())
+    }
+
+    /// Decode a stream from its byte `start` to its byte `end`, with `inner`
+    /// yielding the bytes from `start` on and the checksum resumed from
+    /// `checksum`, what [`Reader::checksum`] read at `start`.
+    pub(crate) fn resume(inner: R, start: u64, end: u64, checksum: u64) -> Self {
+        let at = |n: u64| usize::try_from(n).unwrap_or(usize::MAX);
+        Reader { inner, len: at(end), pos: at(start), hash: Fnv1a::resume(checksum), io_error: None }
     }
 
     pub fn position(&self) -> usize {
         self.pos
+    }
+
+    /// The running checksum of the bytes read so far.
+    pub(crate) fn checksum(&self) -> u64 {
+        self.hash.finish()
     }
 
     /// Bytes left to read.
@@ -285,6 +297,23 @@ impl<R: Read> Reader<R> {
         let n = self.u32()? as usize;
         let at = self.pos;
         String::from_utf8(self.bytes(n)?).map_err(|_| CodecError::BadUtf8 { at })
+    }
+
+    /// Check the next string as [`Reader::str`] reads it, failing with the
+    /// same error, without keeping it: its bytes pass through `scratch`, so
+    /// a caller that reuses one buffer allocates only when a string is
+    /// longer than any before it.
+    pub(crate) fn skip_str(&mut self, scratch: &mut Vec<u8>) -> Result<(), CodecError> {
+        let n = self.u32()? as usize;
+        let at = self.pos;
+        if self.remaining() < n {
+            return Err(CodecError::UnexpectedEof { at, wanted: n });
+        }
+        scratch.clear();
+        scratch.resize(n, 0);
+        self.fill(scratch)?;
+        std::str::from_utf8(scratch).map_err(|_| CodecError::BadUtf8 { at })?;
+        Ok(())
     }
 
     /// Read a collection count (the [`Writer::len`] prefix) whose elements
@@ -396,6 +425,49 @@ mod tests {
         w.u32(u32::MAX);
         let buf = w.finish().unwrap();
         assert!(matches!(Reader::new(&buf).count(1), Err(CodecError::CountTooLarge { .. })));
+    }
+
+    #[test]
+    fn a_skipped_string_is_checked_and_hashed_as_a_read_one() {
+        let mut w = Writer::new();
+        w.str("héllo");
+        w.u32(7);
+        let buf = w.finish().unwrap();
+        let mut scratch = Vec::new();
+        let mut r = Reader::new(&buf);
+        assert_eq!(r.skip_str(&mut scratch), Ok(()));
+        assert_eq!(r.u32(), Ok(7));
+        assert_eq!(r.verify_checksum(), Ok(()));
+
+        let mut bad_utf8 = buf.clone();
+        bad_utf8[5] = 0xff;
+        let mut too_long = buf.clone();
+        too_long[..4].copy_from_slice(&64u32.to_le_bytes());
+        for hostile in [bad_utf8, too_long, buf[..6].to_vec()] {
+            let read = Reader::new(&hostile).str().map(drop);
+            assert!(read.is_err());
+            assert_eq!(Reader::new(&hostile).skip_str(&mut scratch), read);
+        }
+    }
+
+    #[test]
+    fn a_resumed_reader_continues_the_stream_and_its_checksum() {
+        let mut w = Writer::new();
+        w.u32(1);
+        w.str("abc");
+        w.u64(9);
+        let buf = w.finish().unwrap();
+        let mut r = Reader::new(&buf);
+        r.u32().unwrap();
+        let (start, checksum) = (r.position(), r.checksum());
+        let mut resumed = Reader::resume(&buf[start..], start as u64, buf.len() as u64, checksum);
+        assert_eq!(resumed.position(), start);
+        assert_eq!(resumed.str().as_deref(), Ok("abc"));
+        assert_eq!(resumed.u64(), Ok(9));
+        assert_eq!(resumed.verify_checksum(), Ok(()));
+        // a string past the end the reader was given is refused
+        let mut cut = Reader::resume(&buf[start..], start as u64, start as u64 + 5, checksum);
+        assert_eq!(cut.str(), Err(CodecError::UnexpectedEof { at: 8, wanted: 3 }));
     }
 
     /// Hands out one byte per read, as a slow pipe might.

@@ -28,14 +28,15 @@ use permadead_net::dns::{HostState, HostTimeline};
 use permadead_net::fault::{Fault, FaultProfile};
 use permadead_net::http::Vantage;
 use permadead_net::{SimTime, StatusCode};
-use permadead_rescue::{RescueEntry, RescueIndex};
+use permadead_rescue::{EntrySource, RescueEntry, RescueIndex};
 use permadead_text::sketch::{MinHashSketch, SKETCH_SIZE};
 use permadead_url::Url;
 use permadead_web::{LiveWeb, Page, PageEvent, PageId, Site, SiteId, SiteLifecycle, UnknownPathPolicy};
 use std::fmt;
 use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Write};
-use std::path::Path;
+use std::os::unix::fs::FileExt;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 /// Leading magic: "PDWS" = PermaDead World Snapshot.
@@ -141,8 +142,9 @@ pub struct World {
     pub archive: ArchiveStore,
     /// The lexical-signature rediscovery index over the live web at study
     /// time, when the world was built with rescue support. Only the entry
-    /// list is serialized; a loaded index builds its postings from it on
-    /// its first query, so a run that never queries never pays for them.
+    /// list is serialized. [`World::load`] checks it and leaves it in the
+    /// file, read back on first use; any loaded index builds its postings
+    /// on its first query. A run that never queries holds neither.
     pub rescue: Option<RescueIndex>,
 }
 
@@ -415,9 +417,10 @@ impl World {
         w
     }
 
-    /// Decode a snapshot produced by [`World::to_bytes`].
+    /// Decode a snapshot produced by [`World::to_bytes`]. The bytes are in
+    /// memory already, so the rescue entries are decoded with the rest.
     pub fn from_bytes(buf: &[u8]) -> Result<World, CodecError> {
-        World::decode(&mut Reader::new(buf), &mut |_| {})
+        World::decode(&mut Reader::new(buf), RescueEntries::Decode, &mut |_| {})
     }
 
     /// [`World::from_bytes`], also reporting what each section of the
@@ -426,15 +429,18 @@ impl World {
     /// Every byte belongs to exactly one section.
     pub fn from_bytes_with_sections(buf: &[u8]) -> Result<(World, Vec<SectionCost>), CodecError> {
         let mut done = Vec::new();
-        let world = World::decode(&mut Reader::new(buf), &mut |s| done.push(s.clone()))?;
+        let on_section = &mut |s: &SectionCost| done.push(s.clone());
+        let world = World::decode(&mut Reader::new(buf), RescueEntries::Decode, on_section)?;
         Ok((world, done))
     }
 
     /// The one decoder behind [`World::from_bytes`] and [`World::load`]:
     /// reads the stream once, front to back, and returns the world only
-    /// once the trailing checksum has verified.
+    /// once the trailing checksum has verified. `entries` says whether the
+    /// rescue entries are decoded or checked and left in the file.
     fn decode<R: Read>(
         r: &mut Reader<R>,
+        entries: RescueEntries,
         on_section: &mut dyn FnMut(&SectionCost),
     ) -> Result<World, CodecError> {
         let mut sections = Sections { on_close: on_section, start: 0, since: Instant::now() };
@@ -471,9 +477,9 @@ impl World {
         interner.shrink_to_fit();
         sections.close("interner", r.position());
 
-        let march = read_table(r)?;
-        let september = read_table(r)?;
-        let all_tagged = read_table(r)?;
+        let march = read_table(r, &interner)?;
+        let september = read_table(r, &interner)?;
+        let all_tagged = read_table(r, &interner)?;
         sections.close("link-tables", r.position());
 
         let web = read_web(r, &interner, meta.content_seed)?;
@@ -486,13 +492,17 @@ impl World {
         sections.close("archive", r.position());
 
         let rescue = if r.bool()? {
-            let n_entries = r.count(min_bytes::RESCUE_ENTRY)?;
-            let mut entries = Vec::with_capacity(n_entries);
-            for _ in 0..n_entries {
-                let (url, title) = (r.str()?, r.str()?);
-                entries.push(RescueEntry { url, title, sketch: read_sketch(r)? });
-            }
-            Some(RescueIndex::from_entries_lazy(entries))
+            let count = r.count(min_bytes::RESCUE_ENTRY)?;
+            Some(match entries {
+                RescueEntries::Decode => RescueIndex::from_entries_lazy(read_entries(r, count)?),
+                RescueEntries::Defer { file, path } => {
+                    let (start, from) = (r.position() as u64, r.checksum());
+                    check_entries(r, count)?;
+                    let (end, to) = (r.position() as u64, r.checksum());
+                    let section = FileSection { file, path, count, start, end, from, to };
+                    RescueIndex::deferred(count, section)
+                }
+            })
         } else {
             None
         };
@@ -521,7 +531,10 @@ impl World {
     }
 
     /// Read a snapshot from `path`, decoding it as it streams in: the file
-    /// is never resident whole.
+    /// is never resident whole. The rescue entries are checked (checksum,
+    /// counts, lengths, UTF-8) but not kept: the index reads them back
+    /// from the file on first use, through a duplicate of the handle this
+    /// load opened, so a later rename or delete of `path` leaves it intact.
     pub fn load(path: &Path) -> Result<World, LoadError> {
         World::load_with_sections(path, |_| {})
     }
@@ -535,8 +548,9 @@ impl World {
     ) -> Result<World, LoadError> {
         let file = File::open(path)?;
         let len = file.metadata()?.len();
+        let entries = RescueEntries::Defer { file: file.try_clone()?, path: path.to_path_buf() };
         let mut r = Reader::from_stream(BufReader::with_capacity(1 << 16, file), len);
-        World::decode(&mut r, &mut on_section).map_err(|e| match r.take_io_error() {
+        World::decode(&mut r, entries, &mut on_section).map_err(|e| match r.take_io_error() {
             Some(io) => LoadError::Io(io),
             None => LoadError::Codec(e),
         })
@@ -563,28 +577,34 @@ fn write_table(w: &mut Writer<impl Write>, t: &LinkTable) {
 
 /// Read a symbol and resolve it against the decoded interner, surfacing a
 /// decode error (not a panic) when corrupted bytes point outside it.
-fn read_sym_str<'i>(
+fn read_sym<'i>(
     r: &mut Reader<impl Read>,
     interner: &'i Interner,
-) -> Result<&'i str, CodecError> {
+) -> Result<(Sym, &'i str), CodecError> {
     let at = r.position();
     let sym = Sym(r.u32()?);
-    interner
-        .try_resolve(sym)
-        .ok_or(CodecError::BadSymbol { at, sym: sym.0 })
+    match interner.try_resolve(sym) {
+        Some(s) => Ok((sym, s)),
+        None => Err(CodecError::BadSymbol { at, sym: sym.0 }),
+    }
 }
 
-fn read_table(r: &mut Reader<impl Read>) -> Result<LinkTable, CodecError> {
+/// A link table whose every symbol resolves and whose every URL parses, so
+/// that a loaded table turns into a dataset without a failed lookup.
+fn read_table(r: &mut Reader<impl Read>, interner: &Interner) -> Result<LinkTable, CodecError> {
     let label = r.str()?;
     let mut t = LinkTable::new(&label);
     let n = r.count(min_bytes::LINK_ROW)?;
     for _ in 0..n {
+        let url_at = r.position();
+        let (url, url_str) = read_sym(r, interner)?;
+        Url::parse(url_str).map_err(|_| invalid(url_at)("link URLs parse"))?;
         t.push_row(crate::tables::LinkRow {
-            url: Sym(r.u32()?),
-            article: Sym(r.u32()?),
+            url,
+            article: read_sym(r, interner)?.0,
             added_at: r.i64()?,
             marked_at: r.i64()?,
-            marked_by: Sym(r.u32()?),
+            marked_by: read_sym(r, interner)?.0,
         });
     }
     Ok(t)
@@ -600,14 +620,14 @@ fn read_web(
     let n_ranks = r.count(min_bytes::RANK)?;
     for _ in 0..n_ranks {
         let at = r.position();
-        let host = read_sym_str(r, interner)?;
+        let host = read_sym(r, interner)?.1;
         let rank = r.u32()?;
         web.ranks.try_insert(host, rank).map_err(invalid(at))?;
     }
 
     let n_zones = r.count(min_bytes::ZONE)?;
     for _ in 0..n_zones {
-        let host = read_sym_str(r, interner)?;
+        let host = read_sym(r, interner)?.1;
         let n_states = r.count(min_bytes::HOST_STATE)?;
         let mut tl = HostTimeline::new();
         for _ in 0..n_states {
@@ -628,7 +648,7 @@ fn read_web(
     let n_sites = r.count(min_bytes::SITE)?;
     for _ in 0..n_sites {
         let id = SiteId(r.u64()?);
-        let host = read_sym_str(r, interner)?;
+        let host = read_sym(r, interner)?.1;
         let founded = SimTime(r.i64()?);
         let parked_from = if r.bool()? { Some(SimTime(r.i64()?)) } else { None };
         let lifecycle = SiteLifecycle { founded, parked_from };
@@ -679,13 +699,13 @@ fn invalid(at: usize) -> impl FnOnce(&'static str) -> CodecError {
 
 fn read_snapshot(r: &mut Reader<impl Read>, interner: &Interner) -> Result<Snapshot, CodecError> {
     let url_at = r.position();
-    let url_str = read_sym_str(r, interner)?;
+    let url_str = read_sym(r, interner)?.1;
     let url = Url::parse(url_str).map_err(|_| CodecError::BadUtf8 { at: url_at })?;
     let captured = SimTime(r.i64()?);
     let initial_status = StatusCode(r.u16()?);
     let redirect_target = if r.bool()? {
         let t_at = r.position();
-        let t_str = read_sym_str(r, interner)?;
+        let t_str = read_sym(r, interner)?.1;
         Some(Box::new(
             Url::parse(t_str).map_err(|_| CodecError::BadUtf8 { at: t_at })?,
         ))
@@ -703,6 +723,97 @@ fn read_snapshot(r: &mut Reader<impl Read>, interner: &Interner) -> Result<Snaps
     let title = r.str()?;
     let surt = permadead_url::surt(&url);
     Ok(Snapshot { url, surt, captured, initial_status, redirect_target, body_class, sketch, title })
+}
+
+/// What [`World::decode`] does with the rescue entries.
+enum RescueEntries {
+    /// Decode them with the rest: the caller holds the bytes.
+    Decode,
+    /// Check them as the decode would, keep none, and hand the index a
+    /// [`FileSection`] over `file` (a duplicate of the handle being read)
+    /// to read them back on first use.
+    Defer { file: File, path: PathBuf },
+}
+
+/// The one rescue-entry decoder: `count` entries as [`World::encode`]
+/// writes them.
+fn read_entries(r: &mut Reader<impl Read>, count: usize) -> Result<Vec<RescueEntry>, CodecError> {
+    let mut entries = Vec::with_capacity(count);
+    for _ in 0..count {
+        let (url, title) = (r.str()?, r.str()?);
+        entries.push(RescueEntry { url, title, sketch: read_sketch(r)? });
+    }
+    Ok(entries)
+}
+
+/// Check `count` entries as [`read_entries`] reads them, failing with its
+/// errors, and keep none: their strings pass through one reused buffer.
+fn check_entries(r: &mut Reader<impl Read>, count: usize) -> Result<(), CodecError> {
+    let mut scratch = Vec::new();
+    for _ in 0..count {
+        r.skip_str(&mut scratch)?;
+        r.skip_str(&mut scratch)?;
+        read_sketch(r)?;
+    }
+    Ok(())
+}
+
+/// The rescue entries of a loaded snapshot file, left on disk: bytes
+/// `start..end` hold `count` entries, and the load's running checksum read
+/// `from` at `start` and `to` at `end`.
+#[derive(Debug)]
+struct FileSection {
+    file: File,
+    path: PathBuf,
+    count: usize,
+    start: u64,
+    end: u64,
+    from: u64,
+    to: u64,
+}
+
+impl EntrySource for FileSection {
+    /// Stream the section back through a 64 KiB buffer with positional
+    /// reads and decode it with [`read_entries`], returning the entries
+    /// only when the checksum resumed from `from` reaches `to` at `end`.
+    /// Only the file rewritten in place since the load can fail this
+    /// ([`World::save`] replaces a file by rename), so a failure panics.
+    fn read(&self) -> Vec<RescueEntry> {
+        let at = ReadAt { file: &self.file, pos: self.start };
+        let mut r = Reader::resume(BufReader::with_capacity(1 << 16, at), self.start, self.end, self.from);
+        let entries = read_entries(&mut r, self.count);
+        let (path, pos) = (self.path.display(), r.position());
+        if let Some(e) = r.take_io_error() {
+            panic!("reading the rescue entries of {path} failed at byte {pos}: {e}");
+        }
+        match entries {
+            Ok(entries) if pos as u64 == self.end && r.checksum() == self.to => entries,
+            Ok(_) => panic!(
+                "the rescue entries of {path} (bytes {}..{}) changed since the load checked them: \
+                 they read to byte {pos} and hash to {:#018x}, not {:#018x}",
+                self.start,
+                self.end,
+                r.checksum(),
+                self.to
+            ),
+            Err(e) => panic!("the rescue entries of {path} changed since the load checked them: {e}"),
+        }
+    }
+}
+
+/// Reads `file` from byte `pos` on with positional reads, which leave the
+/// handle's offset (shared with its duplicates) alone.
+struct ReadAt<'f> {
+    file: &'f File,
+    pos: u64,
+}
+
+impl Read for ReadAt<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = self.file.read_at(buf, self.pos)?;
+        self.pos += n as u64;
+        Ok(n)
+    }
 }
 
 fn read_sketch(r: &mut Reader<impl Read>) -> Result<MinHashSketch, CodecError> {
@@ -1107,7 +1218,10 @@ mod tests {
         assert!(saved == world.to_bytes(), "the streamed save writes to_bytes's bytes");
         let mut streamed = Vec::new();
         let loaded = World::load_with_sections(&path, |s| streamed.push(s.clone())).unwrap();
+        let index = loaded.rescue.as_ref().unwrap();
+        assert!(!index.entries_loaded(), "a load leaves the entries in the file");
         assert_eq!(loaded.to_bytes(), world.to_bytes());
+        assert!(index.entries_loaded());
         let (_, sections) = World::from_bytes_with_sections(&world.to_bytes()).unwrap();
         let layout = |v: &[SectionCost]| v.iter().map(|s| (s.name, s.bytes)).collect::<Vec<_>>();
         assert_eq!(layout(&streamed), layout(&sections), "one decoder, two sources");

@@ -233,6 +233,18 @@ if ! awk -v live="$load_heap" -v committed="$committed_heap" \
     echo "check.sh: the small-scale load keeps ${load_heap} heap bytes, over 102% of the committed ${committed_heap}" >&2
     exit 1
 fi
+# The load checks the rescue entries and leaves them in the file, read back
+# on first use: the heap it holds when the rescue-entries section closes
+# exceeds the heap at the archive's close by at most 64 KiB (the decoded
+# entries held 3.9 MB at this scale).
+if ! awk "$world_num"'
+    /"bench":"world\/section"/ && /"section":"archive"/ { archive = num("heap_bytes") }
+    /"bench":"world\/section"/ && /"section":"rescue-entries"/ { rescue = num("heap_bytes") }
+    END { exit !(archive > 0 && rescue >= archive && rescue - archive <= 65536) }
+' "$results_tmp/BENCH_world.json"; then
+    echo "check.sh: the load holds over 64 KiB more heap after the rescue-entries section than after the archive" >&2
+    exit 1
+fi
 rm -rf "$world_dir" "$results_tmp" "$audit_nocache" "$audit_miss" "$audit_hit" "$cache_log"
 echo "check.sh: world-cache round trip green"
 

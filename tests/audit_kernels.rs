@@ -360,8 +360,8 @@ fn scenario() -> &'static Scenario {
     S.get_or_init(|| Scenario::generate(ScenarioConfig::small(42)))
 }
 
-/// Held by each test that reads the shared archive's access counters, so
-/// no other test's scans land between its readings.
+/// Held by each test that scans the shared archive, so no other test's
+/// scans land between the readings of a test that counts them.
 fn counters() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
@@ -482,6 +482,7 @@ fn redirect_verdicts_match_the_sort_based_oracle_on_every_archived_3xx_row() {
 #[test]
 fn timed_redirect_checks_draw_as_the_query_did() {
     let archive = &scenario().archive;
+    let _counters = counters();
     let retrying = RetryPolicy::standard(3, 0xA1);
     let mut unverified = 0;
     for (i, snap) in archive

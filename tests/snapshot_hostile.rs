@@ -7,11 +7,16 @@
 //! and re-stamps the FNV-1a trailer, so the checksum cannot be what catches
 //! it: each collection count raised that way must be rejected where it
 //! stands, before anything is allocated for it. Another flips every bit.
-//! The file-backed cases run the same decoder as it streams a snapshot
-//! from disk through `World::load`. A counting allocator checks that a
-//! count the decoder accepts but the bytes cannot fill presizes no more
-//! heap than the file holds.
+//! A raised window that still decodes must leave link tables whose every
+//! symbol resolves and whose every URL parses, so the datasets built from
+//! them cannot panic. The file-backed cases run the same decoder as it
+//! streams a snapshot from disk through `World::load`, which checks the
+//! rescue section without keeping it: a hostile one fails the load with
+//! the error a decode of the same bytes gets. A counting allocator checks
+//! that a count the decoder accepts but the bytes cannot fill presizes no
+//! more heap than the file holds.
 
+use permadead::analysis::Dataset;
 use permadead::archive::{ArchiveStore, Snapshot};
 use permadead::net::dns::{HostState, HostTimeline};
 use permadead::net::fault::{Fault, FaultProfile};
@@ -342,4 +347,104 @@ fn hostile_files_are_load_errors() {
     // a directory opens, but reading it fails
     assert!(matches!(World::load(&scratch.0), Err(LoadError::Io(_))));
     assert!(matches!(World::load(&scratch.0.join("missing.pdw")), Err(LoadError::Io(_))));
+}
+
+/// Where each section of `bytes` starts and ends, by name.
+fn section_bounds(bytes: &[u8]) -> Vec<(&'static str, usize, usize)> {
+    let (_, sections) = World::from_bytes_with_sections(bytes).unwrap();
+    let mut start = 0;
+    sections
+        .iter()
+        .map(|s| {
+            start += s.bytes;
+            (s.name, start - s.bytes, start)
+        })
+        .collect()
+}
+
+fn bounds_of(bytes: &[u8], name: &str) -> (usize, usize) {
+    let found = section_bounds(bytes).into_iter().find(|&(n, _, _)| n == name);
+    let (_, start, end) = found.unwrap_or_else(|| panic!("no {name} section"));
+    (start, end)
+}
+
+#[test]
+fn every_window_that_decodes_yields_its_datasets() {
+    let bytes = world().to_bytes();
+    let mut decoded = 0;
+    for at in 0..=bytes.len() - 8 - 4 {
+        let mut hostile = bytes.clone();
+        hostile[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        restamp(&mut hostile);
+        if let Ok(world) = World::from_bytes(&hostile) {
+            decoded += 1;
+            for table in [&world.march, &world.september, &world.all_tagged] {
+                let dataset = Dataset::from_table(table, &world.interner);
+                assert_eq!(dataset.entries.len(), table.len(), "window at {at}");
+            }
+        }
+    }
+    assert!(decoded > 0, "some raised windows still decode");
+}
+
+#[test]
+fn a_link_symbol_that_does_not_name_a_url_is_rejected() {
+    let bytes = world().to_bytes();
+    let (tables, _) = bounds_of(&bytes, "link-tables");
+    // the March table's label, its row count, then the first row's url and
+    // article symbols
+    let url_at = tables + 4 + "march".len() + 4;
+    let article = bytes[url_at + 4..url_at + 8].to_vec();
+
+    let mut hostile = bytes.clone();
+    hostile[url_at..url_at + 4].copy_from_slice(&article);
+    restamp(&mut hostile);
+    assert!(matches!(
+        World::from_bytes(&hostile),
+        Err(CodecError::Invalid { at, .. }) if at == url_at
+    ));
+
+    let mut hostile = bytes.clone();
+    hostile[url_at..url_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    restamp(&mut hostile);
+    assert_eq!(
+        World::from_bytes(&hostile).map(drop),
+        Err(CodecError::BadSymbol { at: url_at, sym: u32::MAX })
+    );
+}
+
+/// The load of a file holding `bytes`: it fails exactly as a decode of the
+/// bytes does, and a load that succeeds reads back the entries the decode
+/// holds.
+fn load_matches_decode(scratch: &Scratch, bytes: &[u8], what: &str) {
+    let loaded = World::load(&scratch.write(bytes));
+    match (World::from_bytes(bytes), loaded) {
+        (Err(decoded), Err(LoadError::Codec(loaded))) => assert_eq!(loaded, decoded, "{what}"),
+        (Ok(decoded), Ok(loaded)) => assert_eq!(
+            loaded.rescue.as_ref().map(|r| r.entries().to_vec()),
+            decoded.rescue.as_ref().map(|r| r.entries().to_vec()),
+            "{what}"
+        ),
+        (decoded, loaded) => panic!("{what}: decode {:?}, load {:?}", decoded.map(drop), loaded.map(drop)),
+    }
+}
+
+#[test]
+fn a_hostile_rescue_section_fails_the_load_as_it_fails_a_decode() {
+    let scratch = Scratch::new("hostile-rescue");
+    let bytes = world().to_bytes();
+    let (start, end) = bounds_of(&bytes, "rescue-entries");
+    for at in start..end - 4 {
+        let mut hostile = bytes.clone();
+        hostile[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        restamp(&mut hostile);
+        load_matches_decode(&scratch, &hostile, &format!("window at {at}"));
+    }
+    for at in start..end {
+        for bit in 0..8 {
+            let mut flipped = bytes.clone();
+            flipped[at] ^= 1 << bit;
+            load_matches_decode(&scratch, &flipped, &format!("bit {bit} of byte {at}"));
+        }
+    }
 }
